@@ -3,14 +3,18 @@
 Two claims, measured on one VDC trace over a mid-size random graph:
 
 - Replaying the trace with warm starts (one ``EdgeLPModel`` per window,
-  advanced by ``apply_demand_delta``) performs far fewer cold LP builds
-  than timeline steps, and its mean per-step latency beats solving every
-  step cold from scratch.
+  advanced by ``apply_demand_delta``, each step restarting dual simplex
+  from the previous step's basis) performs far fewer cold LP builds than
+  timeline steps, and its mean per-step latency is at least 3x
+  (:data:`MIN_WARM_SPEEDUP`) below solving every step cold from scratch.
+  Like ``bench_solvers.py``'s anneal assert, the ratio is
+  machine-independent.
 - A second replay of the same trace against the same cache answers every
   step from content-addressed entries — zero cold builds, zero solves.
 
-Like the other wall-clock benchmarks, these run on demand rather than as
-a required CI check (see .github/workflows/ci.yml).
+CI runs this file before ``check_perf_gate.py``, which gates the
+``replay_warm_vs_cold`` record's ``warm_ms_per_step`` (see
+.github/workflows/ci.yml).
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ STEPS = 60
 SPEC = TopologySpec.make(
     "rrg", num_switches=24, network_degree=6, servers_per_switch=4
 )
+#: Warm per-step latency must beat per-step cold solves by this factor.
+MIN_WARM_SPEEDUP = 3.0
 
 
 def _plan(window: int = STEPS) -> ReplayPlan:
@@ -82,9 +88,10 @@ def test_warm_replay_beats_cold_steps(benchmark):
         f"{warm_step_s * 1e3:.1f}ms/step ({speedup:.1f}x), "
         f"{warm.cold_builds} cold builds / {plan.num_steps} steps"
     )
-    assert warm_step_s < cold_step_s, (
-        f"warm replay ({warm_step_s * 1e3:.1f}ms/step) did not beat "
-        f"per-step cold solves ({cold_step_s * 1e3:.1f}ms/step)"
+    assert speedup >= MIN_WARM_SPEEDUP, (
+        f"warm replay ({warm_step_s * 1e3:.1f}ms/step) is only "
+        f"{speedup:.2f}x faster than per-step cold solves "
+        f"({cold_step_s * 1e3:.1f}ms/step); need {MIN_WARM_SPEEDUP:.0f}x"
     )
     append_record(
         "BENCH_pipeline.json",

@@ -6,7 +6,9 @@ record of each gated benchmark is compared against the best (fastest)
 
 - the warm (incremental-model) anneal at N = 64 and the end-to-end
   N = 100,000 estimator-ladder cell (``BENCH_solvers.json``, appended by
-  ``bench_solvers.py``), and
+  ``bench_solvers.py``),
+- the mean per-step latency of a warm-started 60-step replay
+  (``BENCH_pipeline.json``, appended by ``bench_replay.py``), and
 - the cold cost-Pareto design run over every generator family
   (``BENCH_design.json``, appended by ``bench_design.py``).
 
@@ -26,14 +28,17 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Gated artifact -> {benchmark name -> the timing field the gate watches}.
+#: Gated artifact -> {benchmark name -> (watched timing field, its unit)}.
 GATES = {
     "BENCH_solvers.json": {
-        "incremental_anneal_n64": "warm_seconds",
-        "estimator_ladder_100k": "total_seconds",
+        "incremental_anneal_n64": ("warm_seconds", "s"),
+        "estimator_ladder_100k": ("total_seconds", "s"),
+    },
+    "BENCH_pipeline.json": {
+        "replay_warm_vs_cold": ("warm_ms_per_step", "ms"),
     },
     "BENCH_design.json": {
-        "design_cold_run": "cold_seconds",
+        "design_cold_run": ("cold_seconds", "s"),
     },
 }
 
@@ -42,7 +47,7 @@ GATES = {
 SLOWDOWN_LIMIT = 2.0
 
 
-def check_artifact(path: Path, gates: "dict[str, str]") -> "list[str]":
+def check_artifact(path: Path, gates: "dict[str, tuple[str, str]]") -> "list[str]":
     """Gate one artifact; return failures (empty when it passes)."""
     if not path.exists():
         return [
@@ -51,7 +56,7 @@ def check_artifact(path: Path, gates: "dict[str, str]") -> "list[str]":
         ]
     payload = json.loads(path.read_text())
     failures: list[str] = []
-    for name, fld in gates.items():
+    for name, (fld, unit) in gates.items():
         records = [
             r for r in payload.get("records", []) if r.get("benchmark") == name
         ]
@@ -61,18 +66,18 @@ def check_artifact(path: Path, gates: "dict[str, str]") -> "list[str]":
         latest = float(records[-1][fld])
         prior = [float(r[fld]) for r in records[:-1]]
         if not prior:
-            print(f"{name}: {fld}={latest:.2f}s (first record; baseline set)")
+            print(f"{name}: {fld}={latest:.2f}{unit} (first record; baseline set)")
             continue
         baseline = min(prior)
         ratio = latest / baseline
         print(
-            f"{name}: {fld}={latest:.2f}s vs baseline {baseline:.2f}s "
+            f"{name}: {fld}={latest:.2f}{unit} vs baseline {baseline:.2f}{unit} "
             f"({ratio:.2f}x, limit {SLOWDOWN_LIMIT:.1f}x)"
         )
         if ratio > SLOWDOWN_LIMIT:
             failures.append(
                 f"{name}: {fld} regressed {ratio:.2f}x over baseline "
-                f"{baseline:.2f}s (limit {SLOWDOWN_LIMIT:.1f}x)"
+                f"{baseline:.2f}{unit} (limit {SLOWDOWN_LIMIT:.1f}x)"
             )
     return failures
 

@@ -52,7 +52,6 @@ from repro.flow.path_decomposition import (
 )
 from repro.flow.incremental import (
     EdgeLPModel,
-    model_for,
     model_stats,
 )
 
@@ -81,6 +80,5 @@ __all__ = [
     "decompose_arc_flows",
     "decompose_commodity_flows",
     "EdgeLPModel",
-    "model_for",
     "model_stats",
 ]

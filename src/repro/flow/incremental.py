@@ -22,46 +22,48 @@ structure, traffic structure) and then mutates it in place per swap:
   DoubleEdgeSwap` specifies (``(a, d)`` inherits the capacity of
   ``(a, b)``).
 
-Solves default to ``method="highs-ipm"`` (interior point + crossover),
-which on the anneal-scale instances measured in ``BENCH_solvers.json``
-is ~10x faster than the default simplex with optima agreeing to machine
-precision; the differential test matrix pins mutated-model optima to cold
-:func:`~repro.flow.edge_lp.max_concurrent_flow` solves at 1e-9.
+Cold solves default to ``method="highs-ipm"`` (interior point +
+crossover), which on the anneal-scale instances measured in
+``BENCH_solvers.json`` is ~10x faster than the default simplex with optima
+agreeing to machine precision; the differential test matrix pins
+mutated-model optima to cold :func:`~repro.flow.edge_lp.max_concurrent_flow`
+solves at 1e-9.
 
-A small fingerprint-keyed memo (:func:`model_for`) mirrors the route-set
-memo of :mod:`repro.fidelity.routes` so pipeline stages sharing a
-(topology, traffic) pair pay one assembly; :func:`model_stats` exposes
-the counters.
+The model keeps the HiGHS basis of its last optimal solve. A demand delta
+changes only the throughput column, so the next solve restarts dual
+simplex from that basis (through the basis-aware
+:func:`repro.flow.highs.linprog`), several times faster than a cold
+interior-point solve on replay windows. A swap rewires
+``4 * num_commodities`` arc columns, which leaves the old basis a poor
+start, so :meth:`~EdgeLPModel.apply_swap` drops it and the next solve is
+cold again. :func:`model_stats` exposes the counters.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.exceptions import FlowError, SolverError
 from repro.flow.edge_lp import _aggregate_by_source
+from repro.flow.highs import linprog
 from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
 from repro.topology.mutation import DoubleEdgeSwap
 from repro.traffic.base import TrafficMatrix
 
-#: Hot-path LP algorithm. Interior point with crossover returns a basic
-#: optimal solution like simplex does, several times faster on the
-#: multi-commodity instances this module exists for.
+#: LP algorithm of a solve without a basis (a fresh model, or one after a
+#: swap). Interior point with crossover returns a basic optimal solution
+#: like simplex does, several times faster on the multi-commodity
+#: instances this module exists for.
 DEFAULT_METHOD = "highs-ipm"
 
-#: In-process memo size for :func:`model_for` (a model at N=64/r=8 is a
-#: few MB of index arrays).
-_MEMO_MAX = 4
+#: LP algorithm of a solve that starts from the previous basis. HiGHS
+#: ignores a starting basis under interior point.
+WARM_METHOD = "highs-ds"
 
-_MEMO: "OrderedDict[tuple, EdgeLPModel]" = OrderedDict()
 _STATS = {
     "built": 0,
-    "memo_hits": 0,
     "solves": 0,
     "swaps": 0,
     "demand_deltas": 0,
@@ -69,16 +71,15 @@ _STATS = {
 
 
 def model_stats() -> dict:
-    """Counters since the last reset: built / memo_hits / solves / swaps /
+    """Counters since the last reset: built / solves / swaps /
     demand_deltas."""
     return dict(_STATS)
 
 
 def reset_model_stats() -> None:
-    """Zero the counters and drop the in-process model memo."""
+    """Zero the counters."""
     for key in _STATS:
         _STATS[key] = 0
-    _MEMO.clear()
 
 
 class EdgeLPModel:
@@ -94,7 +95,10 @@ class EdgeLPModel:
         Demand matrix. Commodities are aggregated by source switch (the
         proven-equivalent compression of :mod:`repro.flow.edge_lp`).
     method:
-        :func:`scipy.optimize.linprog` method for :meth:`solve`.
+        HiGHS method (``highs``, ``highs-ds`` or ``highs-ipm``) of a solve
+        without a starting basis: the first solve, and the first after a
+        swap. A solve after a demand delta restarts :data:`WARM_METHOD`
+        from the previous basis whatever ``method`` is.
     """
 
     def __init__(
@@ -114,6 +118,8 @@ class EdgeLPModel:
             raise FlowError(f"sources must be None or 'all', got {sources!r}")
         self.method = method
         self.name = f"{topo.name}/{traffic.name}"
+        # HiGHS basis of the last optimal solve; None forces a cold solve.
+        self._basis = None
         self.num_swaps = 0
         self.num_solves = 0
         self.num_demand_deltas = 0
@@ -250,6 +256,10 @@ class EdgeLPModel:
         :class:`FlowError` when the swap does not fit the current arc set
         (missing removed link or already-present added link), leaving the
         model untouched.
+
+        The swap drops the kept basis, so the next solve is cold: after
+        ``4 * num_commodities`` arc columns move, restarting simplex from
+        it is slower than a cold interior-point solve.
         """
         a, b, c, d = swap.a, swap.b, swap.c, swap.d
         for u, v in swap.removed:
@@ -285,6 +295,7 @@ class EdgeLPModel:
                 self._eq_indices[strides + 2 * j + 1] = (
                     commodity_rows + node_idx
                 )
+        self._basis = None
         self.num_swaps += 1
         _STATS["swaps"] += 1
 
@@ -352,7 +363,8 @@ class EdgeLPModel:
         Only the throughput column (the CSC tail) and ``total_demand``
         change — arc columns, the capacity block, bounds, and objective
         are untouched, mirroring :meth:`apply_swap`'s slot discipline.
-        Reverting is ``apply_demand_delta(delta.inverse())``.
+        Reverting is ``apply_demand_delta(delta.inverse())``. The kept
+        basis survives, so the next solve restarts from it.
 
         A delta whose source has no commodity slot raises
         :class:`FlowError` unless the model was built with
@@ -441,6 +453,7 @@ class EdgeLPModel:
             (self._eq_data, self._eq_indices, self._eq_indptr),
             shape=(self._num_eq_rows, self._t_col + 1),
         )
+        method = self.method if self._basis is None else WARM_METHOD
         outcome = linprog(
             self._objective,
             A_ub=self._a_ub,
@@ -448,67 +461,14 @@ class EdgeLPModel:
             A_eq=a_eq,
             b_eq=self._b_eq,
             bounds=(0, None),
-            method=self.method,
+            method=method,
+            basis=self._basis,
         )
         if not outcome.success:
             raise SolverError(
-                f"HiGHS ({self.method}) failed on {self.name!r}: "
-                f"{outcome.message}"
+                f"HiGHS ({method}) failed on {self.name!r}: {outcome.message}"
             )
+        self._basis = outcome.basis
         self.num_solves += 1
         _STATS["solves"] += 1
         return np.asarray(outcome.x)
-
-    def copy(self) -> "EdgeLPModel":
-        """An independent model with the same current instance."""
-        clone = object.__new__(EdgeLPModel)
-        clone.__dict__.update(self.__dict__)
-        for attr in (
-            "_arc_tail",
-            "_arc_head",
-            "_eq_indices",
-            "_eq_data",
-            "_eq_indptr",
-        ):
-            setattr(clone, attr, getattr(self, attr).copy())
-        clone._arc_slot = dict(self._arc_slot)
-        clone._commodity_dests = [dict(d) for d in self._commodity_dests]
-        return clone
-
-
-def model_for(
-    topo: Topology,
-    traffic: TrafficMatrix,
-    method: str = DEFAULT_METHOD,
-    mutable: bool = False,
-    sources: "str | None" = None,
-) -> EdgeLPModel:
-    """A (memoized) :class:`EdgeLPModel` for this exact instance.
-
-    Keyed by content fingerprints, so repeated pipeline stages touching
-    the same (topology, traffic) pair share one assembly. ``mutable=True``
-    returns a private copy safe to :meth:`~EdgeLPModel.apply_swap` /
-    :meth:`~EdgeLPModel.apply_demand_delta` — the memoized original must
-    keep matching its fingerprint key.
-    """
-    from repro.pipeline.fingerprint import (
-        topology_fingerprint,
-        traffic_fingerprint,
-    )
-
-    key = (
-        topology_fingerprint(topo),
-        traffic_fingerprint(traffic),
-        method,
-        sources,
-    )
-    model = _MEMO.get(key)
-    if model is None:
-        model = EdgeLPModel(topo, traffic, method=method, sources=sources)
-        _MEMO[key] = model
-        while len(_MEMO) > _MEMO_MAX:
-            _MEMO.popitem(last=False)
-    else:
-        _MEMO.move_to_end(key)
-        _STATS["memo_hits"] += 1
-    return model.copy() if mutable else model

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.flow.incremental as incremental
 from repro.exceptions import FlowError
 from repro.flow.edge_lp import max_concurrent_flow
+from repro.flow.highs import linprog
 from repro.flow.incremental import (
-    DEFAULT_METHOD,
     EdgeLPModel,
-    model_for,
     model_stats,
     reset_model_stats,
 )
@@ -129,24 +129,6 @@ class TestSwapMutation:
         swap = DoubleEdgeSwap(a, b, *candidate)
         with pytest.raises(FlowError, match="adds existing arc"):
             model.apply_swap(swap)
-
-    def test_copy_is_independent(self):
-        topo, traffic = _instance(12, seed=5)
-        model = EdgeLPModel(topo, traffic)
-        clone = model.copy()
-        rng = np.random.default_rng(9)
-        swap = double_edge_swap(topo, rng=rng)
-        assert swap is not None
-        clone.apply_swap(swap)
-        # Original still solves the unswapped instance.
-        original = random_regular_topology(12, 4, servers_per_switch=2, seed=5)
-        cold = max_concurrent_flow(
-            original, random_permutation_traffic(original, seed=105)
-        ).throughput
-        assert abs(model.solve() - cold) <= TOL
-        assert abs(
-            clone.solve() - max_concurrent_flow(topo, traffic).throughput
-        ) <= TOL
 
 
 @settings(max_examples=20, deadline=None)
@@ -294,46 +276,188 @@ class TestDemandDeltas:
 
 
 class TestModelMemo:
-    def test_model_for_memoizes_by_fingerprint(self):
-        reset_model_stats()
-        topo, traffic = _instance(8, seed=6)
-        first = model_for(topo, traffic)
-        again = model_for(topo.copy(), traffic)
-        assert again is first
-        stats = model_stats()
-        assert stats["built"] == 1
-        assert stats["memo_hits"] == 1
-        reset_model_stats()
-
-    def test_mutable_returns_private_copy(self):
-        reset_model_stats()
-        topo, traffic = _instance(8, seed=6)
-        shared = model_for(topo, traffic)
-        private = model_for(topo, traffic, mutable=True)
-        assert private is not shared
-        rng = np.random.default_rng(2)
-        work = topo.copy()
-        swap = double_edge_swap(work, rng=rng)
-        assert swap is not None
-        private.apply_swap(swap)
-        # The memoized original still matches its fingerprint instance.
-        assert {(u, v) for u, v, _ in shared.arcs()} == {
-            (u, v) for u, v, _ in topo.arcs()
-        }
-        reset_model_stats()
-
-    def test_method_is_part_of_the_key(self):
-        reset_model_stats()
-        topo, traffic = _instance(8, seed=6)
-        ipm = model_for(topo, traffic, method=DEFAULT_METHOD)
-        simplex = model_for(topo, traffic, method="highs")
-        assert ipm is not simplex
-        assert model_stats()["built"] == 2
-        reset_model_stats()
-
     def test_empty_traffic_rejected(self):
         topo, _ = _instance(8, seed=6)
         from repro.traffic.base import TrafficMatrix
 
         with pytest.raises(FlowError, match="no network demands"):
             EdgeLPModel(topo, TrafficMatrix(name="empty", demands={}))
+
+
+class _BasisRecorder:
+    """Stands in for ``repro.flow.incremental.linprog``; notes each call."""
+
+    def __init__(self) -> None:
+        self.calls: list = []
+        self.results: list = []
+
+    def __call__(self, c, **kwargs):
+        self.calls.append(dict(kwargs, c=c))
+        self.results.append(linprog(c, **kwargs))
+        return self.results[-1]
+
+    def warm(self) -> list:
+        """Per call so far: whether it started from a basis."""
+        return [call["basis"] is not None for call in self.calls]
+
+
+@pytest.fixture
+def recorder(monkeypatch):
+    record = _BasisRecorder()
+    monkeypatch.setattr(incremental, "linprog", record)
+    return record
+
+
+class TestHighsDropIn:
+    """The basis-aware ``linprog`` against SciPy's own."""
+
+    @pytest.mark.parametrize("method", ["highs", "highs-ds", "highs-ipm"])
+    def test_no_basis_solve_is_bit_identical_to_scipy(self, method, recorder):
+        from scipy.optimize import linprog as scipy_linprog
+
+        EdgeLPModel(*_instance(12, seed=8)).solve()
+        call = dict(recorder.calls[0], method=method)
+        del call["basis"]
+        ours = linprog(**call)
+        theirs = scipy_linprog(**call)
+        assert ours.success and theirs.success
+        assert np.array_equal(ours.x, theirs.x)
+        assert ours.nit == theirs.nit
+        assert ours.crossover_nit == theirs.crossover_nit
+        assert ours.basis is not None
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown HiGHS method"):
+            linprog([1.0], bounds=(0, None), method="simplex")
+
+    def test_basis_of_another_shape_rejected(self):
+        from scipy import sparse
+
+        two = linprog(
+            [-1.0, -1.0],
+            A_ub=sparse.csr_matrix([[1.0, 1.0]]),
+            b_ub=[1.0],
+            method="highs-ds",
+        )
+        assert two.basis is not None
+        with pytest.raises(ValueError, match="basis does not fit"):
+            linprog(
+                [-1.0],
+                A_ub=sparse.csr_matrix([[1.0]]),
+                b_ub=[1.0],
+                method="highs-ds",
+                basis=two.basis,
+            )
+
+
+def _delta_stream(data, topo):
+    """A base matrix plus one drawn delta of every kind, in drawn order.
+
+    Kinds: add to an existing source, remove a pair, scale some pairs,
+    add a new source, and empty one source's commodity entirely.
+    """
+    from repro.traffic.base import TrafficMatrix
+    from repro.traffic.timeline import DemandDelta, TrafficTimeline
+
+    switches = topo.switches
+    units = st.floats(0.5, 4.0)
+    demands = {
+        (switches[i], switches[(i + hop) % 4]): data.draw(units)
+        for i in range(4)
+        for hop in (1, 2)
+    }
+    # Flow counts only label the matrix; keep them clear of zero.
+    base = TrafficMatrix(name="base", demands=demands, num_flows=1000)
+    current = base
+    kinds = ["add", "remove", "scale", "new_source", "empty"]
+    deltas = []
+    for kind in data.draw(st.permutations(kinds)):
+        pairs = sorted(current.demands, key=repr)
+        sources = sorted({u for u, _ in pairs}, key=repr)
+        if kind == "add":
+            u = data.draw(st.sampled_from(sources))
+            v = data.draw(st.sampled_from([s for s in switches if s != u]))
+            delta = DemandDelta.adding({(u, v): data.draw(units)})
+        elif kind == "remove":
+            delta = DemandDelta.removing(current, [data.draw(st.sampled_from(pairs))])
+        elif kind == "scale":
+            chosen = data.draw(
+                st.lists(st.sampled_from(pairs), min_size=1, unique=True)
+            )
+            delta = DemandDelta.scaling(
+                current, data.draw(st.floats(0.25, 3.0)), chosen
+            )
+        elif kind == "new_source":
+            idle = [s for s in switches if s not in sources]
+            u = data.draw(st.sampled_from(idle))
+            v = data.draw(st.sampled_from([s for s in switches if s != u]))
+            delta = DemandDelta.adding({(u, v): data.draw(units)})
+        else:
+            source = data.draw(st.sampled_from(sources))
+            delta = DemandDelta.removing(
+                current, [pair for pair in pairs if pair[0] == source]
+            )
+        deltas.append(delta)
+        current = delta.apply(current)
+    return TrafficTimeline(name="stream", base=base, deltas=deltas)
+
+
+class TestWarmBasis:
+    """Solves after a delta restart from the kept basis; swaps drop it."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_delta_stream_warm_solves_match_cold(self, data):
+        topo = random_regular_topology(10, 4, servers_per_switch=2, seed=9)
+        timeline = _delta_stream(data, topo)
+        model = EdgeLPModel(topo, timeline.base, sources="all")
+        model.solve()
+        for step in range(1, timeline.num_steps):
+            model.apply_demand_delta(timeline.deltas[step - 1])
+            assert model._basis is not None
+            cold = max_concurrent_flow(topo, timeline.matrix_at(step))
+            assert abs(model.solve() - cold.throughput) <= TOL, f"step {step}"
+
+    def test_delta_keeps_basis_and_swaps_drop_it(self, recorder):
+        from repro.traffic.timeline import DemandDelta
+
+        topo, traffic = _instance(10, seed=12)
+        model = EdgeLPModel(topo, traffic, sources="all")
+        a, b = topo.switches[:2]
+        first = DemandDelta.adding({(a, b): 1.0})
+        second = DemandDelta.adding({(b, a): 2.0})
+        model.solve()
+        model.solve()
+        model.apply_demand_delta(first)
+        model.solve()
+        swap = double_edge_swap(topo, rng=np.random.default_rng(3))
+        assert swap is not None
+        model.apply_swap(swap)
+        model.apply_swap(swap.inverse())
+        model.solve()
+        model.apply_demand_delta(second)
+        model.solve()
+        model.apply_swap(swap)
+        value = model.solve()
+        assert recorder.warm() == [False, True, True, False, True, False]
+        # Re-solving an unchanged LP from its own optimal basis pivots
+        # nothing, so the restart really starts from the basis.
+        assert recorder.results[1].nit == 0
+        cold = max_concurrent_flow(topo, second.apply(first.apply(traffic)))
+        assert abs(value - cold.throughput) <= TOL
+
+    def test_annealing_never_reuses_a_basis(self, recorder):
+        from repro.search.annealing import CoolingSchedule, anneal
+        from repro.search.objectives import LPThroughputObjective
+
+        topo, traffic = _instance(10, seed=14)
+        anneal(
+            topo,
+            LPThroughputObjective(traffic),
+            steps=6,
+            seed=2,
+            schedule=CoolingSchedule(initial_temperature=0.05, final_temperature=0.001),
+        )
+        assert len(recorder.calls) >= 4
+        assert not any(recorder.warm())
+
