@@ -7,7 +7,7 @@ expensive per-instance computations when backends run one at a time:
   to build at N = 100,000), and
 - the **Fiedler eigenpair** — ``cut`` needs the vector for its sweep
   prefixes, ``spectral`` needs the eigenvalue, and both come out of the
-  *same* ARPACK solve (minutes at N = 100,000).
+  *same* Lanczos solve (~15 s at N = 100,000).
 
 :class:`SharedArtifacts` memoizes both, keyed by topology object
 identity, and :func:`shared_artifacts` scopes the memo with a context

@@ -61,7 +61,10 @@ class SolverBackend:
     concrete routing mechanism instead of an optimal routing: their
     results carry a mechanism gap by design, and the fidelity
     differential gate additionally checks them against per-family
-    calibrated bands.
+    calibrated bands. ``revision`` versions the backend's algorithm: bump
+    it when a change moves the backend's outputs, and the solver
+    fingerprint (hence every result-cache key) changes with it, so no
+    cache entry written by the old algorithm is served for the new one.
     """
 
     name: str
@@ -71,6 +74,7 @@ class SolverBackend:
     aliases: tuple = ()
     estimate: bool = False
     simulation: bool = False
+    revision: int = 0
 
 
 _REGISTRY: dict[str, SolverBackend] = {}
@@ -101,15 +105,19 @@ def register_solver(
     aliases: "tuple | list" = (),
     estimate: bool = False,
     simulation: bool = False,
+    revision: int = 0,
 ) -> SolverBackend:
     """Register a throughput backend under a canonical key.
 
     Existing keys (and aliases) cannot be overwritten — raise instead of
-    silently shadowing a built-in.
+    silently shadowing a built-in. ``revision`` is the algorithm version
+    folded into the backend's cache keys (see :class:`SolverBackend`).
     """
     key = name.strip().lower().replace("-", "_")
     if key in _REGISTRY or key in _ALIASES:
         raise FlowError(f"solver {name!r} is already registered")
+    if not isinstance(revision, int) or revision < 0:
+        raise FlowError(f"solver revision must be an int >= 0, got {revision!r}")
     backend = SolverBackend(
         name=key,
         fn=fn,
@@ -118,6 +126,7 @@ def register_solver(
         aliases=tuple(aliases),
         estimate=estimate,
         simulation=simulation,
+        revision=revision,
     )
     _REGISTRY[key] = backend
     for alias in backend.aliases:
@@ -270,6 +279,7 @@ register_solver(
     description="min over sparse sampled cuts (Fiedler sweep + random + ToR)",
     exact=False,
     estimate=True,
+    revision=1,
 )
 register_solver(
     "estimate_spectral",
@@ -277,6 +287,7 @@ register_solver(
     description="algebraic-connectivity expansion estimate (one eigensolve)",
     exact=False,
     estimate=True,
+    revision=1,
 )
 register_solver(
     "estimate_sampled_lp",

@@ -108,29 +108,24 @@ def expander_mixing_deviation(topo: Topology, side_s: set, side_t: set) -> dict:
     }
 
 
-#: Below this switch count the sparse helpers fall back to the dense
-#: eigensolvers: LAPACK on a tiny matrix beats ARPACK setup cost and
-#: avoids shift-invert corner cases on very small graphs.
+#: Up to this switch count the sparse helpers fall back to the dense
+#: eigensolvers: LAPACK on a tiny matrix beats ARPACK setup cost.
 SPARSE_SPECTRAL_THRESHOLD = 256
-
-#: Above this switch count the Fiedler solve drops shift-invert ARPACK —
-#: whose sparse LU factorization of the Laplacian costs minutes and
-#: gigabytes by N = 100,000 — for factorization-free Lanczos on the
-#: reflected operator ``c I - L`` (matvec-only; ~50 s at N = 100,000).
-#: Between the thresholds shift-invert stays, byte-for-byte, the solver
-#: it has always been.
-SHIFT_INVERT_LIMIT = 20_000
 
 
 def _sparse_fiedler_pair(
     topo: Topology, weighted: bool = True
 ) -> "tuple[float, np.ndarray, list]":
-    """(lambda_2, Fiedler vector, node order) via sparse shift-invert ARPACK.
+    """(lambda_2, Fiedler vector, node order) via Lanczos on ``c I - L``.
 
-    The Laplacian is symmetric positive semidefinite with a known
-    eigenvalue at 0; asking ARPACK for the two eigenpairs nearest a small
-    negative shift returns 0 and the Fiedler pair without factorizing a
-    singular matrix. Dense fallback below
+    Gershgorin puts every Laplacian eigenvalue in ``[0, c]`` with
+    ``c = 2 max weighted degree``, so the reflected operator ``c I - L``
+    is PSD and its two largest eigenpairs are the kernel (value ``c``)
+    and the Fiedler pair (value ``c - lambda_2``): plain ARPACK Lanczos
+    finds both from matvecs alone, factorizing nothing. The vector is
+    oriented to a positive inner product with the fixed start vector, so
+    the sweep order of :func:`repro.estimate.cut.estimate_cut` does not
+    depend on ARPACK's arbitrary sign. Dense fallback at or below
     :data:`SPARSE_SPECTRAL_THRESHOLD` switches.
     """
     import networkx as nx
@@ -166,30 +161,16 @@ def _sparse_fiedler_pair(
     # between otherwise identical runs. A seeded Gaussian draw avoids
     # pathological starts (e.g. exactly the all-ones kernel vector).
     v0 = np.random.default_rng(0xF1ED1E2).standard_normal(len(nodes))
-    if len(nodes) > SHIFT_INVERT_LIMIT:
-        # Gershgorin puts every Laplacian eigenvalue in [0, 2 max-degree],
-        # so ``c I - L`` with c = 2 max-degree is PSD and its two largest
-        # eigenpairs are the kernel (value c) and the Fiedler pair (value
-        # c - lambda_2) — plain Lanczos finds both without factorizing
-        # anything.
-        c = 2.0 * max(float(degrees.max()), 1.0)
-        reflected = (
-            sparse.identity(len(nodes), format="csr", dtype=float) * c
-            - laplacian
-        )
-        eigenvalues, eigenvectors = eigsh(reflected, k=2, which="LA", v0=v0)
-        order = np.argsort(eigenvalues)[::-1]
-        return (
-            c - float(eigenvalues[order[1]]),
-            eigenvectors[:, order[1]],
-            nodes,
-        )
-    shift = -1e-2 * max(float(degrees.max()), 1.0)
-    eigenvalues, eigenvectors = eigsh(
-        laplacian.tocsc(), k=2, sigma=shift, which="LM", v0=v0
+    c = 2.0 * max(float(degrees.max()), 1.0)
+    reflected = (
+        sparse.identity(len(nodes), format="csr", dtype=float) * c - laplacian
     )
-    order = np.argsort(eigenvalues)
-    return float(eigenvalues[order[1]]), eigenvectors[:, order[1]], nodes
+    eigenvalues, eigenvectors = eigsh(reflected, k=2, which="LA", v0=v0)
+    order = np.argsort(eigenvalues)[::-1]
+    vector = eigenvectors[:, order[1]]
+    if float(vector @ v0) < 0.0:
+        vector = -vector
+    return c - float(eigenvalues[order[1]]), vector, nodes
 
 
 def _fiedler_pair_shared(topo: Topology, weighted: bool):

@@ -13,7 +13,7 @@ affect the solve.
 
 from __future__ import annotations
 
-from repro.flow.solvers import SolverConfig
+from repro.flow.solvers import SolverConfig, get_solver
 from repro.topology.base import Topology
 from repro.topology.serialization import encode_node
 from repro.traffic.base import TrafficMatrix
@@ -68,8 +68,18 @@ def traffic_fingerprint(traffic: TrafficMatrix) -> str:
 
 
 def solver_fingerprint(config: SolverConfig) -> str:
-    """Digest of a solver backend choice plus its options."""
-    return stable_digest(config.to_dict())
+    """Digest of a solver backend choice, its options and its revision.
+
+    The backend's registered ``revision`` joins the digest only when it is
+    nonzero, so a revision-0 backend keeps the key of its name and options
+    alone (caches written before revisions existed still hit), while a
+    bumped backend stops matching entries its older algorithm wrote.
+    """
+    payload = config.to_dict()
+    revision = get_solver(config.name).revision
+    if revision:
+        payload["revision"] = revision
+    return stable_digest(payload)
 
 
 def result_key(

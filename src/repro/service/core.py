@@ -30,6 +30,7 @@ from collections import OrderedDict
 from dataclasses import replace
 
 from repro.exceptions import ExperimentError
+from repro.flow.solvers import get_solver
 from repro.pipeline.cache import ResultCache
 from repro.pipeline.executors import executor_for_workers
 from repro.pipeline.jobs import GridJob, _cell_from_payload, _cell_payload
@@ -45,10 +46,22 @@ GRID_MEMO_SIZE = 64
 
 
 def grid_digest(grid: ScenarioGrid, batch: bool = True) -> str:
-    """Stable content address of one grid execution request."""
-    return stable_digest(
-        {"kind": GRID_MEMO_KIND, "grid": grid.to_dict(), "batch": bool(batch)}
-    )
+    """Stable content address of one grid execution request.
+
+    Nonzero solver revisions join the digest, as they join
+    :func:`~repro.pipeline.fingerprint.solver_fingerprint`: a persisted
+    memo still lists the result keys its first run wrote, and those stay
+    on disk after a backend's revision bump, so the memo itself must miss.
+    """
+    payload = {"kind": GRID_MEMO_KIND, "grid": grid.to_dict(), "batch": bool(batch)}
+    revisions = {}
+    for config in grid.solvers:
+        revision = get_solver(config.name).revision
+        if revision:
+            revisions[config.name] = revision
+    if revisions:
+        payload["revisions"] = revisions
+    return stable_digest(payload)
 
 
 class EvalService:

@@ -6,10 +6,16 @@ hit returns the same arrays the direct computation produces), while the
 expensive per-instance artifacts (Fiedler eigensolve, CSR adjacency)
 are paid once. Also covers the Horvitz-Thompson source sampling of
 ``demand_hop_sum``/``estimate_bound`` and the factorization-free
-Fiedler path above :data:`SHIFT_INVERT_LIMIT`.
+Fiedler path above :data:`SPARSE_SPECTRAL_THRESHOLD`, pinned against the
+dense eigensolver, closed-form spectra, and ARPACK's arbitrary sign.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -27,7 +33,17 @@ from repro.estimate.bound import estimate_bound
 from repro.estimate.cut import estimate_cut
 from repro.estimate.spectral import estimate_spectral
 from repro.metrics.paths import demand_hop_sum
-from repro.metrics.spectral import sparse_algebraic_connectivity
+from repro.metrics.spectral import (
+    SPARSE_SPECTRAL_THRESHOLD,
+    algebraic_connectivity,
+    fiedler_vector,
+    sparse_algebraic_connectivity,
+)
+from repro.topology import (
+    hypercube_topology,
+    mixed_linespeed_topology,
+    torus_topology,
+)
 from repro.topology.random_regular import random_regular_topology
 from repro.traffic.permutation import random_permutation_traffic
 
@@ -173,25 +189,134 @@ class TestSourceSampling:
         )
 
 
-class TestReflectedLanczosGate:
-    def test_reflected_path_matches_shift_invert(self, instance, monkeypatch):
-        """Forcing the >limit path on a small graph reproduces lambda_2."""
-        topo, traffic = instance
-        default = sparse_algebraic_connectivity(topo)
-        cut_default = estimate_cut(topo, traffic)
-        monkeypatch.setattr(spectral_mod, "SHIFT_INVERT_LIMIT", SPARSE_N - 1)
-        reflected = sparse_algebraic_connectivity(topo)
-        assert reflected == pytest.approx(default, abs=1e-8)
-        # The cut estimate consumes the Fiedler *vector*; the sweep must
-        # find the same cut structure either way.
-        cut_reflected = estimate_cut(topo, traffic)
-        assert cut_reflected.throughput == pytest.approx(
-            cut_default.throughput, rel=1e-6
-        )
+def _dense_pair(topo):
+    """``(lambda_2, Fiedler vector)`` from the dense eigensolver."""
+    entries = fiedler_vector(topo)
+    vector = np.array([entries[node] for node in topo.switches])
+    return algebraic_connectivity(topo), vector
 
-    def test_fiedler_vector_orthogonal_to_kernel(self, instance, monkeypatch):
+
+class TestReflectedLanczosGate:
+    """Above the dense threshold, Lanczos on ``c I - L`` is the one solver."""
+
+    def test_matches_dense_eigensolve(self, instance):
         topo, _ = instance
-        monkeypatch.setattr(spectral_mod, "SHIFT_INVERT_LIMIT", SPARSE_N - 1)
+        assert topo.num_switches > SPARSE_SPECTRAL_THRESHOLD
+        value, vector, nodes = spectral_mod._sparse_fiedler_pair(topo)
+        dense_value, dense_vector = _dense_pair(topo)
+        assert nodes == topo.switches
+        assert value == pytest.approx(dense_value, abs=1e-9)
+        assert abs(float(vector @ dense_vector)) >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "build, expected",
+        [
+            (lambda: torus_topology((20, 20)), 2.0 - 2.0 * np.cos(np.pi / 10)),
+            (lambda: torus_topology((40, 40)), 2.0 - 2.0 * np.cos(np.pi / 20)),
+            (lambda: hypercube_topology(9), 2.0),
+        ],
+        ids=["torus20", "torus40", "9-cube"],
+    )
+    def test_closed_form_lambda2(self, build, expected):
+        topo = build()
+        assert topo.num_switches > SPARSE_SPECTRAL_THRESHOLD
+        value, _, _ = spectral_mod._sparse_fiedler_pair(topo)
+        assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_weighted_instance_matches_dense(self):
+        topo = mixed_linespeed_topology(
+            num_large=150,
+            large_low_ports=6,
+            num_small=300,
+            small_low_ports=4,
+            servers_per_large=2,
+            servers_per_small=1,
+            high_ports_per_large=2,
+            high_speed=4.0,
+            seed=0,
+        )
+        assert len({link.capacity for link in topo.links}) > 1
+        value, vector, _ = spectral_mod._sparse_fiedler_pair(topo)
+        dense_value, dense_vector = _dense_pair(topo)
+        assert value == pytest.approx(dense_value, rel=1e-9)
+        assert abs(float(vector @ dense_vector)) >= 1.0 - 1e-9
+
+    def test_vector_oriented_to_start_vector(self, instance, monkeypatch):
+        import scipy.sparse.linalg
+
+        topo, _ = instance
+        original = scipy.sparse.linalg.eigsh
+        starts = []
+
+        def recording(*args, **kwargs):
+            starts.append(kwargs["v0"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording)
+        _, vector, _ = spectral_mod._sparse_fiedler_pair(topo)
+        (v0,) = starts
+        assert float(vector @ v0) > 0.0
+
+    def test_solver_sign_does_not_move_outputs(self, instance, monkeypatch):
+        """A sign-flipped ``eigsh`` yields the same vector and cut."""
+        import scipy.sparse.linalg
+
+        topo, traffic = instance
+        value, vector, _ = spectral_mod._sparse_fiedler_pair(topo)
+        cut = estimate_cut(topo, traffic)
+        original = scipy.sparse.linalg.eigsh
+
+        def negated(*args, **kwargs):
+            eigenvalues, eigenvectors = original(*args, **kwargs)
+            return eigenvalues, -eigenvectors
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", negated)
+        flipped_value, flipped_vector, _ = spectral_mod._sparse_fiedler_pair(topo)
+        assert flipped_value == value
+        assert np.array_equal(flipped_vector, vector)
+        assert estimate_cut(topo, traffic).to_dict() == cut.to_dict()
+
+    def test_degenerate_spectrum_is_cross_process_deterministic(self):
+        """A 9-cube's lambda_2 has multiplicity 9, so any vector of that
+        eigenspace is a Fiedler vector; the solve must still pick the same
+        one in every process, or cut estimates would not match their
+        content-addressed cache entries."""
+        script = textwrap.dedent(
+            """
+            import hashlib
+
+            from repro.estimate.cut import estimate_cut
+            from repro.metrics.spectral import _sparse_fiedler_pair
+            from repro.topology import hypercube_topology
+            from repro.traffic.permutation import random_permutation_traffic
+
+            topo = hypercube_topology(9, servers_per_switch=1)
+            _, vector, _ = _sparse_fiedler_pair(topo)
+            traffic = random_permutation_traffic(topo, seed=1)
+            print(hashlib.sha256(vector.tobytes()).hexdigest())
+            print(estimate_cut(topo, traffic).throughput.hex())
+            """
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        outputs = set()
+        for hash_seed in ("1", "4242"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (env.get("PYTHONPATH"), "src") if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=root,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, outputs
+
+    def test_fiedler_vector_orthogonal_to_kernel(self, instance):
+        topo, _ = instance
         _, vector, _ = spectral_mod._sparse_fiedler_pair(topo)
         assert abs(float(np.sum(vector))) < 1e-6
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-9)

@@ -60,6 +60,12 @@ class TestRegistry:
         with pytest.raises(FlowError, match="already registered"):
             register_solver("edge_lp", max_concurrent_flow)
 
+    @pytest.mark.parametrize("revision", [-1, 1.5, "1"])
+    def test_bad_revision_rejected(self, revision):
+        with pytest.raises(FlowError, match="revision"):
+            register_solver("revised_twin", max_concurrent_flow, revision=revision)
+        assert "revised_twin" not in available_solvers()
+
     def test_exact_flags(self):
         assert get_solver("edge_lp").exact
         assert not get_solver("path_lp").exact

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.flow.edge_lp import max_concurrent_flow
-from repro.flow.solvers import SolverConfig
+from repro.flow.solvers import SolverConfig, available_solvers, get_solver
 from repro.pipeline.cache import CACHE_ENV_VAR, ResultCache, default_cache
 from repro.pipeline.fingerprint import (
     result_key,
@@ -18,6 +18,7 @@ from repro.pipeline.fingerprint import (
 from repro.topology.random_regular import random_regular_topology
 from repro.traffic.permutation import random_permutation_traffic
 from repro.traffic.stride import stride_traffic
+from repro.util.hashing import stable_digest
 
 
 @pytest.fixture
@@ -74,6 +75,25 @@ class TestFingerprints:
         c = solver_fingerprint(SolverConfig.make("path_lp", k=4))
         assert a != b
         assert a == c
+
+    def test_revision_zero_fingerprint_is_name_and_options(self):
+        """Revision-0 backends keep the key they had before revisions."""
+        for name in available_solvers():
+            if get_solver(name).revision:
+                continue
+            config = SolverConfig(name)
+            assert solver_fingerprint(config) == stable_digest(config.to_dict())
+        config = SolverConfig.make("path_lp", k=4)
+        assert solver_fingerprint(config) == stable_digest(config.to_dict())
+
+    @pytest.mark.parametrize("name", ["estimate_cut", "estimate_spectral"])
+    def test_revised_backend_gets_a_new_key(self, name):
+        assert get_solver(name).revision == 1
+        for config in (SolverConfig(name), SolverConfig.make(name, seed=3)):
+            assert solver_fingerprint(config) != stable_digest(config.to_dict())
+            assert solver_fingerprint(config) == stable_digest(
+                {**config.to_dict(), "revision": 1}
+            )
 
     def test_result_key_composition(self):
         key = result_key("t" * 64, "m" * 64, "s" * 64)

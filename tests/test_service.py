@@ -13,6 +13,8 @@ from repro.flow.solvers import SolverConfig
 from repro.pipeline.engine import run_grid
 from repro.pipeline.scenario import ScenarioGrid, TopologySpec, TrafficSpec
 from repro.service import EvalService, ServiceClient, grid_digest, serve
+from repro.service.core import GRID_MEMO_KIND
+from repro.util.hashing import stable_digest
 
 
 def small_grid(**overrides) -> ScenarioGrid:
@@ -38,6 +40,22 @@ class TestGridMemo:
         )
         assert grid_digest(small_grid()) != grid_digest(
             small_grid(name="other")
+        )
+
+    def test_digest_follows_solver_revisions(self):
+        """Revised backends change the digest; revision-0 grids keep theirs."""
+        plain = small_grid()
+        assert grid_digest(plain) == stable_digest(
+            {"kind": GRID_MEMO_KIND, "grid": plain.to_dict(), "batch": True}
+        )
+        revised = small_grid(solvers=(SolverConfig("estimate_cut"),))
+        assert grid_digest(revised) == stable_digest(
+            {
+                "kind": GRID_MEMO_KIND,
+                "grid": revised.to_dict(),
+                "batch": True,
+                "revisions": {"estimate_cut": 1},
+            }
         )
 
     def test_second_submit_answers_from_memo(self, tmp_path):
