@@ -9,7 +9,8 @@ record against the committed trajectory — see ``docs/performance.md``):
   than cold per-swap solves at N = 64, with identical optima (the warm
   winner re-solved cold agrees to 1e-9), and
 - the estimator ladder (``bound`` / ``cut`` / ``spectral``) completes an
-  N = 100,000 RRG cell end-to-end, with per-rung timings.
+  N = 100,000 RRG cell end-to-end, with per-rung timings and an exact
+  Theorem-1 bound.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ ANNEAL_SCHEDULE = CoolingSchedule(
 
 LADDER_SWITCHES = 100_000
 LADDER_DEGREE = 8
-#: Horvitz-Thompson source sample for ``bound`` at N = 100,000 — the
-#: exact all-sources BFS alone would dwarf every other rung.
-LADDER_BOUND_SOURCES = 256
 
 
 def _anneal_pair():
@@ -111,14 +109,12 @@ def _ladder_100k():
     start = time.perf_counter()
     traffic = random_permutation_traffic(topo, seed=1)
     timings["traffic"] = time.perf_counter() - start
-    options = {"bound": {"max_sources": LADDER_BOUND_SOURCES}}
     store = SharedArtifacts()
     results = {}
     for name in LADDER_SOLVERS:
         start = time.perf_counter()
         results.update(
-            run_ladder(topo, traffic, solvers=(name,), options=options,
-                       store=store)
+            run_ladder(topo, traffic, solvers=(name,), store=store)
         )
         timings[name] = time.perf_counter() - start
     return results, timings, store.stats
@@ -144,7 +140,6 @@ def test_estimator_ladder_100k(benchmark):
         "estimator_ladder_100k",
         num_switches=LADDER_SWITCHES,
         network_degree=LADDER_DEGREE,
-        bound_max_sources=LADDER_BOUND_SOURCES,
         build_seconds=round(timings["build"], 4),
         bound_seconds=round(timings["bound"], 4),
         cut_seconds=round(timings["cut"], 4),

@@ -3,8 +3,8 @@
 The estimator ladder (``bound`` / ``cut`` / ``spectral``) repeats two
 expensive per-instance computations when backends run one at a time:
 
-- the **sparse CSR adjacency** (``bound``'s batched BFS; several seconds
-  to build at N = 100,000), and
+- the **sparse CSR adjacency** (behind ``bound``'s pair-distance
+  kernel; several seconds to build at N = 100,000), and
 - the **Fiedler eigenpair** — ``cut`` needs the vector for its sweep
   prefixes, ``spectral`` needs the eigenvalue, and both come out of the
   *same* Lanczos solve (~15 s at N = 100,000).

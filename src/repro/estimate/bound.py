@@ -9,9 +9,9 @@ demand-weighted shortest-path hop sum,
 For random graphs this bound is the paper's headline comparison line —
 §4 shows exact throughput tracks it within a few percent — which makes it
 a remarkably good estimator exactly where exact LPs stop scaling.
-Distances come from batched sparse BFS
-(:func:`repro.metrics.paths.demand_hop_sum`), so N = 10,000 networks
-evaluate in seconds.
+Only the demand pairs' distances are computed, by balls grown from both
+ends until they meet (:func:`repro.metrics.paths.demand_hop_sum`), so
+the bound stays exact up to N = 100,000 (about 13 s there).
 """
 
 from __future__ import annotations
@@ -35,27 +35,15 @@ def estimate_bound(
     traffic: TrafficMatrix,
     unreachable: str = "error",
     error_band=None,
-    chunk_size: int = 512,
-    max_sources: "int | None" = None,
-    seed: int = 0,
 ) -> ThroughputResult:
     """ASPL/capacity-charging throughput estimate (an upper bound).
 
     Parameters mirror the exact backends; ``error_band`` attaches a
     calibrated ``(lo, hi)`` ratio band (see
-    :mod:`repro.estimate.calibrate`) to the result, ``chunk_size`` sets
-    the BFS source batch size (memory/speed knob only).
+    :mod:`repro.estimate.calibrate`) to the result.
 
     The returned throughput never falls below the exact LP value for the
     same instance — it is a true upper bound, tight on expanders.
-
-    ``max_sources`` turns the exact hop sum into a sampled one (BFS from
-    that many demand sources, Horvitz-Thompson scaled; deterministic in
-    ``seed``) — the N = 100,000 configuration benchmarked in
-    ``BENCH_solvers.json``. Sampling trades the hard upper-bound
-    guarantee for an unbiased estimate of the bound whose relative error
-    on permutation workloads is far below the estimator's calibrated
-    band.
     """
     band = check_error_band(error_band)
     served, dropped, dropped_demand, short = prepare_estimate(
@@ -64,13 +52,7 @@ def estimate_bound(
     if short is not None:
         short.error_band = band
         return short
-    hop_sum = demand_hop_sum(
-        topo,
-        served,
-        chunk_size=chunk_size,
-        max_sources=max_sources,
-        seed=seed,
-    )
+    hop_sum = demand_hop_sum(topo, served)
     throughput = demand_throughput_upper_bound(topo.total_capacity, hop_sum)
     return finish_estimate(
         throughput, served, SOLVER_LABEL, dropped, dropped_demand, band

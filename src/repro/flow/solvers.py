@@ -269,7 +269,7 @@ from repro.estimate.spectral import estimate_spectral  # noqa: E402
 register_solver(
     "estimate_bound",
     estimate_bound,
-    description="capacity-charging ASPL bound estimate (sparse BFS, N=10k)",
+    description="capacity-charging ASPL bound estimate (exact pair hops, N=100k)",
     exact=False,
     estimate=True,
 )

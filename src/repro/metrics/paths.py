@@ -2,7 +2,10 @@
 
 Path lengths are measured in switch-to-switch hops (link capacities do not
 affect distance), matching the paper's ``<D>`` and the Cerf et al. bound it
-is compared against. Includes a self-contained Yen's algorithm for the
+is compared against. Whole-network metrics (ASPL, diameter, histogram)
+BFS from every switch; demand-weighted hop sums need only the demand
+pairs, whose distances come from one meet-in-the-middle kernel over
+sparse boolean balls. Includes a self-contained Yen's algorithm for the
 k-shortest simple paths used by the path-restricted LP and the MPTCP
 simulator.
 """
@@ -10,6 +13,7 @@ simulator.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Iterator
 
@@ -96,157 +100,161 @@ def demand_weighted_aspl(topo: Topology, traffic: TrafficMatrix) -> float:
     concrete workload; for uniform workloads over evenly spread servers it
     coincides with the unweighted ASPL up to sampling noise.
     """
-    if not traffic.demands:
-        raise TopologyError("traffic matrix has no network demands")
-    by_source: dict = {}
-    for (u, v), units in traffic.demands.items():
-        by_source.setdefault(u, []).append((v, units))
-    weighted = 0.0
-    total_units = 0.0
-    for source, dests in by_source.items():
-        dist = shortest_path_lengths_from(topo, source)
-        for v, units in dests:
-            if v not in dist:
-                raise TopologyError(
-                    f"demand {source!r}->{v!r} has no path in {topo.name!r}"
-                )
-            weighted += units * dist[v]
-            total_units += units
-    return weighted / total_units
+    return demand_hop_sum(topo, traffic) / traffic.total_demand
 
 
-def demand_hop_sum(
-    topo: Topology,
-    traffic: TrafficMatrix,
-    chunk_size: int = 512,
-    max_sources: "int | None" = None,
-    seed: int = 0,
-) -> float:
-    """Sum over demands of ``units * hop_distance(u, v)``, at scale.
+#: Demand pairs per ball-growing batch in :func:`_pair_distances`. Only
+#: the batch's two ball matrices are live at once, which bounds memory.
+PAIR_BATCH = 4096
 
-    This is the denominator of the capacity-charging throughput bound
-    (each delivered unit consumes at least its shortest-path hops of
-    capacity) and equals ``demand_weighted_aspl * total_demand``. Unlike
-    the pure-python BFS in :func:`demand_weighted_aspl`, distances come
-    from :mod:`scipy.sparse.csgraph` in source batches of ``chunk_size``
-    rows, which keeps N = 10,000 networks within seconds and bounded
-    memory. Raises :class:`TopologyError` on an unroutable demand.
 
-    ``max_sources`` caps the number of BFS roots: when set below the
-    number of distinct demand sources, that many sources are drawn
-    uniformly without replacement (deterministic in ``seed``) and the
-    sampled hop sum is scaled by ``num_sources / max_sources`` — the
-    Horvitz-Thompson estimator, unbiased over the sampling draw. This is
-    what takes the bound estimator to N = 100,000, where exact all-source
-    BFS costs hours: ~256 sampled sources pin a permutation workload's
-    hop sum to well under a percent. Unroutable demands are only detected
-    at sampled sources in this mode.
+def _reach_matrix(topo: Topology):
+    """Boolean CSR of ``A + I`` over ``topo.switches`` order.
+
+    One product with it grows every row's ball by one hop. The adjacency
+    comes from the active :func:`~repro.estimate.batch.shared_artifacts`
+    store when there is one, so a batch's backends build it once.
     """
+    import networkx as nx
+    from scipy import sparse
+
+    from repro.estimate.batch import active_artifacts
+
+    store = active_artifacts()
+    if store is not None:
+        adjacency = store.csr_adjacency(topo)
+    else:
+        adjacency = nx.to_scipy_sparse_array(
+            topo.graph, nodelist=topo.switches, weight=None, format="csr"
+        )
+    identity = sparse.eye_array(adjacency.shape[0], format="csr", dtype=bool)
+    return adjacency.astype(bool) + identity
+
+
+def _point_balls(rows, num_nodes: int):
+    """One radius-0 ball per entry of ``rows``: row ``i`` holds ``rows[i]``."""
+    import numpy as np
+    from scipy import sparse
+
+    return sparse.csr_array(
+        (np.ones(len(rows), dtype=bool), rows, np.arange(len(rows) + 1)),
+        shape=(len(rows), num_nodes),
+    )
+
+
+def _pair_distances(reach, heads, tails):
+    """Hop distance of every pair ``(heads[i], tails[i])`` of node-row arrays.
+
+    Meets balls in the middle: each pair keeps a sparse boolean ball
+    around both ends, and round ``k`` grows the head side (odd ``k``) or
+    the tail side (even ``k``) by one product with ``reach`` (see
+    :func:`_reach_matrix`). A pair's distance is the first ``k`` at which
+    its two balls intersect. A ball that grows by no node already covers
+    its connected component, so a pair whose balls still do not meet is
+    unreachable and gets ``inf``. Pairs go in batches of
+    :data:`PAIR_BATCH`, and each round keeps only unresolved pairs'
+    balls, which bounds memory.
+    """
+    import numpy as np
+
+    dist = np.where(heads == tails, 0.0, np.inf)
+    num_nodes = reach.shape[0]
+    for start in range(0, len(heads), PAIR_BATCH):
+        batch = slice(start, start + PAIR_BATCH)
+        pending = start + np.flatnonzero(heads[batch] != tails[batch])
+        balls = [
+            _point_balls(heads[pending], num_nodes),
+            _point_balls(tails[pending], num_nodes),
+        ]
+        hops = 0
+        while len(pending):
+            hops += 1
+            side = (hops - 1) % 2
+            grown = balls[side] @ reach
+            stalled = np.diff(grown.indptr) == np.diff(balls[side].indptr)
+            balls[side] = grown
+            met = balls[0].multiply(balls[1]).sum(axis=1) > 0
+            dist[pending[met]] = hops
+            keep = ~(met | stalled)
+            pending = pending[keep]
+            balls = [ball[keep] for ball in balls]
+    return dist
+
+
+def _node_rows(index: dict, nodes):
+    """Row numbers of ``nodes`` under ``index`` as an int64 array."""
+    import numpy as np
+
+    return np.fromiter((index[node] for node in nodes), dtype=np.int64)
+
+
+def _demands_by_source(traffic: TrafficMatrix, index: dict) -> dict:
+    """``{u: {v: units}}`` in insertion order; every endpoint must be in
+    ``index``."""
     if not traffic.demands:
         raise TopologyError("traffic matrix has no network demands")
-    check_positive_int(chunk_size, "chunk_size")
-    if max_sources is not None:
-        check_positive_int(max_sources, "max_sources")
-    import networkx as nx
-    import numpy as np
-    from scipy.sparse import csgraph
-
-    nodes = topo.switches
-    index = {node: i for i, node in enumerate(nodes)}
     by_source: dict = {}
     for (u, v), units in traffic.demands.items():
         for node in (u, v):
             if node not in index:
                 raise TopologyError(f"demand endpoint {node!r} is not a switch")
-        by_source.setdefault(u, []).append((index[v], units))
-    from repro.estimate.batch import active_artifacts
+        by_source.setdefault(u, {})[v] = units
+    return by_source
 
-    store = active_artifacts()
-    if store is not None:
-        # Same matrix the direct build produces (the store builds it with
-        # this exact call), shared across the batch's backends.
-        adjacency = store.csr_adjacency(topo)
-    else:
-        adjacency = nx.to_scipy_sparse_array(
-            topo.graph, nodelist=nodes, weight=None, format="csr"
-        )
-    sources = sorted(by_source, key=repr)
-    scale = 1.0
-    if max_sources is not None and max_sources < len(sources):
-        rng = np.random.default_rng(seed)
-        picks = np.sort(
-            rng.choice(len(sources), size=max_sources, replace=False)
-        )
-        scale = len(sources) / max_sources
-        sources = [sources[i] for i in picks]
-    source_rows = np.fromiter(
-        (index[u] for u in sources), dtype=np.int64, count=len(sources)
+
+def demand_hop_sum(topo: Topology, traffic: TrafficMatrix) -> float:
+    """Sum over demands of ``units * hop_distance(u, v)``, at scale.
+
+    This is the denominator of the capacity-charging throughput bound
+    (each delivered unit consumes at least its shortest-path hops of
+    capacity) and equals ``demand_weighted_aspl * total_demand``. Only
+    the demand pairs' distances are computed, by the meet-in-the-middle
+    kernel :func:`_pair_distances`, so an N = 100,000 permutation
+    workload is exact in seconds. Units accumulate sequentially, sources
+    in ``repr`` order and each source's destinations in insertion order.
+    Raises :class:`TopologyError` on an unroutable demand, naming the
+    first one in that order.
+    """
+    index = {node: i for i, node in enumerate(topo.switches)}
+    by_source = _demands_by_source(traffic, index)
+    pairs = [
+        (u, v, units)
+        for u in sorted(by_source, key=repr)
+        for v, units in by_source[u].items()
+    ]
+    hops = _pair_distances(
+        _reach_matrix(topo),
+        _node_rows(index, (u for u, _, _ in pairs)),
+        _node_rows(index, (v for _, v, _ in pairs)),
     )
     total = 0.0
-    for start in range(0, len(sources), chunk_size):
-        batch = source_rows[start : start + chunk_size]
-        distances = csgraph.dijkstra(adjacency, unweighted=True, indices=batch)
-        for offset, source in enumerate(sources[start : start + chunk_size]):
-            row = distances[offset]
-            for dest_row, units in by_source[source]:
-                hops = row[dest_row]
-                if not np.isfinite(hops):
-                    raise TopologyError(
-                        f"demand {source!r}->{nodes[dest_row]!r} has no path "
-                        f"in {topo.name!r}"
-                    )
-                total += units * float(hops)
-    return total * scale
+    for (u, v, units), pair_hops in zip(pairs, hops.tolist()):
+        if pair_hops == math.inf:
+            raise TopologyError(
+                f"demand {u!r}->{v!r} has no path in {topo.name!r}"
+            )
+        total += units * pair_hops
+    return total
 
 
 class DemandHopTracker:
     """Incrementally-maintained :func:`demand_hop_sum` for demand deltas.
 
-    Built once per topology, the tracker caches each demand source's BFS
-    distance row (distances depend only on the topology, which replay
-    holds fixed) and its per-source hop-sum contribution. Applying a
-    :class:`~repro.traffic.timeline.DemandDelta` re-prices **only the
-    touched sources** — an O(changed pairs) dictionary update per source
-    already priced, one BFS for a source never seen — so
-    ``estimate_bound`` re-prices a timestep without the all-source sweep.
-
-    Exact (no ``max_sources`` sampling): replay compares steps against
-    each other, where sampling noise would swamp small deltas.
+    Built once per topology, the tracker caches the hop distance of every
+    demand pair it has priced (distances depend only on the topology,
+    which replay holds fixed) and each source's hop-sum contribution.
+    Applying a :class:`~repro.traffic.timeline.DemandDelta` re-prices
+    **only the touched sources** — an O(changed pairs) dictionary update
+    per source, with one kernel call for the pairs never seen — so
+    ``estimate_bound`` re-prices a timestep without a full recompute.
     """
 
-    def __init__(
-        self,
-        topo: Topology,
-        traffic: TrafficMatrix,
-        chunk_size: int = 512,
-    ) -> None:
-        if not traffic.demands:
-            raise TopologyError("traffic matrix has no network demands")
-        check_positive_int(chunk_size, "chunk_size")
-        import networkx as nx
-
+    def __init__(self, topo: Topology, traffic: TrafficMatrix) -> None:
         self._topo = topo
-        self._nodes = topo.switches
-        self._index = {node: i for i, node in enumerate(self._nodes)}
-        self._chunk_size = chunk_size
-        from repro.estimate.batch import active_artifacts
-
-        store = active_artifacts()
-        if store is not None:
-            self._adjacency = store.csr_adjacency(topo)
-        else:
-            self._adjacency = nx.to_scipy_sparse_array(
-                topo.graph, nodelist=self._nodes, weight=None, format="csr"
-            )
-        self._by_source: dict = {}
-        for (u, v), units in traffic.demands.items():
-            for node in (u, v):
-                if node not in self._index:
-                    raise TopologyError(
-                        f"demand endpoint {node!r} is not a switch"
-                    )
-            self._by_source.setdefault(u, {})[v] = units
-        self._dist_rows: dict = {}
+        self._index = {node: i for i, node in enumerate(topo.switches)}
+        self._by_source = _demands_by_source(traffic, self._index)
+        self._reach = _reach_matrix(topo)
+        self._pair_hops: dict = {}
         self._source_sums: dict = {}
         self.num_repriced = 0
         self._price_sources(sorted(self._by_source, key=repr))
@@ -255,31 +263,24 @@ class DemandHopTracker:
     # ------------------------------------------------------------------
     def _price_sources(self, sources: list) -> None:
         """(Re)compute hop-sum contributions for ``sources``."""
-        import numpy as np
-        from scipy.sparse import csgraph
-
-        missing = [u for u in sources if u not in self._dist_rows]
-        for start in range(0, len(missing), self._chunk_size):
-            batch = missing[start : start + self._chunk_size]
-            rows = np.fromiter(
-                (self._index[u] for u in batch),
-                dtype=np.int64,
-                count=len(batch),
+        missing = [
+            (u, v)
+            for u in sources
+            for v in self._by_source.get(u, {})
+            if (u, v) not in self._pair_hops
+        ]
+        if missing:
+            hops = _pair_distances(
+                self._reach,
+                _node_rows(self._index, (u for u, _ in missing)),
+                _node_rows(self._index, (v for _, v in missing)),
             )
-            distances = csgraph.dijkstra(
-                self._adjacency, unweighted=True, indices=rows
-            )
-            for offset, source in enumerate(batch):
-                self._dist_rows[source] = distances[offset]
-        import math
-
+            self._pair_hops.update(zip(missing, hops.tolist()))
         for source in sources:
-            row = self._dist_rows[source]
-            dests = self._by_source.get(source, {})
             subtotal = 0.0
-            for v, units in dests.items():
-                hops = float(row[self._index[v]])
-                if not math.isfinite(hops):
+            for v, units in self._by_source.get(source, {}).items():
+                hops = self._pair_hops[(source, v)]
+                if hops == math.inf:
                     raise TopologyError(
                         f"demand {source!r}->{v!r} has no path in "
                         f"{self._topo.name!r}"

@@ -14,7 +14,8 @@ steps solve sequentially so each step warm-starts from its predecessor:
   deltas can introduce new sources), then advanced per step via
   :meth:`~repro.flow.incremental.EdgeLPModel.apply_demand_delta`.
 - ``estimate_bound`` → a :class:`~repro.metrics.paths.DemandHopTracker`
-  re-prices only delta-touched sources per step.
+  caches one hop distance per demand pair and re-prices only
+  delta-touched sources per step.
 - any other solver → per-step cold solves (``replay_mode="fallback"``).
 
 Every step is content-addressed in the :class:`~repro.pipeline.cache.
@@ -200,10 +201,7 @@ class _WindowSolver:
         name = plan.solver.name
         if name == "edge_lp" and set(options) <= {"method"}:
             self.path = "lp"
-        elif name == "estimate_bound" and set(options) <= {
-            "error_band",
-            "chunk_size",
-        }:
+        elif name == "estimate_bound" and set(options) <= {"error_band"}:
             self.path = "bound"
         else:
             self.path = "generic"
@@ -268,7 +266,6 @@ class _WindowSolver:
         from repro.metrics.paths import DemandHopTracker
 
         band = check_error_band(self.options.get("error_band"))
-        chunk_size = int(self.options.get("chunk_size", 512))
         mode = "warm"
         matrix = self._matrix_at(step)
         if self._tracker is not None and self._tracker_step < step:
@@ -276,9 +273,7 @@ class _WindowSolver:
                 self._tracker.apply_delta(self.timeline.deltas[i])
             self._tracker_step = step
         if self._tracker is None or self._tracker_step != step:
-            self._tracker = DemandHopTracker(
-                self.topo, matrix, chunk_size=chunk_size
-            )
+            self._tracker = DemandHopTracker(self.topo, matrix)
             self._tracker_step = step
             mode = "cold"
         throughput = demand_throughput_upper_bound(

@@ -1,13 +1,12 @@
-"""Shared-artifact batching, the estimator ladder, and source sampling.
+"""Shared-artifact batching, the estimator ladder, and the sparse Fiedler path.
 
 Pins the core batching contract: results computed inside a
 :func:`shared_artifacts` scope are **identical** to solo runs (a memo
 hit returns the same arrays the direct computation produces), while the
 expensive per-instance artifacts (Fiedler eigensolve, CSR adjacency)
-are paid once. Also covers the Horvitz-Thompson source sampling of
-``demand_hop_sum``/``estimate_bound`` and the factorization-free
-Fiedler path above :data:`SPARSE_SPECTRAL_THRESHOLD`, pinned against the
-dense eigensolver, closed-form spectra, and ARPACK's arbitrary sign.
+are paid once. Also covers the factorization-free Fiedler path above
+:data:`SPARSE_SPECTRAL_THRESHOLD`, pinned against the dense eigensolver,
+closed-form spectra, and ARPACK's arbitrary sign.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from repro.estimate.batch import (
 from repro.estimate.bound import estimate_bound
 from repro.estimate.cut import estimate_cut
 from repro.estimate.spectral import estimate_spectral
-from repro.metrics.paths import demand_hop_sum
 from repro.metrics.spectral import (
     SPARSE_SPECTRAL_THRESHOLD,
     algebraic_connectivity,
@@ -137,17 +135,14 @@ class TestBatchedEqualsSolo:
 
     def test_options_reach_the_backend(self, instance):
         topo, traffic = instance
-        sampled = run_ladder(
+        banded = run_ladder(
             topo,
             traffic,
             solvers=("bound",),
-            options={"bound": {"max_sources": 32}},
+            options={"bound": {"error_band": (0.9, 1.0)}},
         )["bound"]
-        exact = estimate_bound(topo, traffic)
-        assert sampled.throughput != exact.throughput
-        assert sampled.throughput == pytest.approx(
-            exact.throughput, rel=0.15
-        )
+        assert banded.error_band == (0.9, 1.0)
+        assert banded.throughput == estimate_bound(topo, traffic).throughput
 
     def test_shared_connectivity_matches_direct(self, instance):
         topo, _ = instance
@@ -155,38 +150,6 @@ class TestBatchedEqualsSolo:
         with shared_artifacts():
             shared = sparse_algebraic_connectivity(topo)
         assert shared == direct
-
-
-class TestSourceSampling:
-    def test_full_sample_is_exact(self, instance):
-        topo, traffic = instance
-        exact = demand_hop_sum(topo, traffic)
-        assert demand_hop_sum(
-            topo, traffic, max_sources=10 ** 6
-        ) == exact
-
-    def test_sampling_is_deterministic_and_unbiased_ish(self, instance):
-        topo, traffic = instance
-        exact = demand_hop_sum(topo, traffic)
-        once = demand_hop_sum(topo, traffic, max_sources=100, seed=3)
-        again = demand_hop_sum(topo, traffic, max_sources=100, seed=3)
-        assert once == again
-        assert once == pytest.approx(exact, rel=0.10)
-        other = demand_hop_sum(topo, traffic, max_sources=100, seed=4)
-        assert other != once
-
-    def test_invalid_max_sources_rejected(self, instance):
-        topo, traffic = instance
-        with pytest.raises(ValueError, match="max_sources"):
-            demand_hop_sum(topo, traffic, max_sources=0)
-
-    def test_bound_threads_sampling_through(self, instance):
-        topo, traffic = instance
-        sampled = estimate_bound(topo, traffic, max_sources=64, seed=2)
-        assert sampled.is_estimate
-        assert sampled.throughput == pytest.approx(
-            estimate_bound(topo, traffic).throughput, rel=0.15
-        )
 
 
 def _dense_pair(topo):

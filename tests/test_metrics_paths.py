@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 from itertools import islice
+from unittest import mock
 
 import networkx as nx
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import csgraph
 
+import repro.metrics.paths as paths_mod
 from repro.exceptions import TopologyError
 from repro.metrics.paths import (
     DemandHopTracker,
@@ -20,9 +26,11 @@ from repro.metrics.paths import (
     path_length_histogram,
     shortest_path_lengths_from,
 )
+from repro.topology import make_topology
 from repro.topology.base import Topology
 from repro.topology.hypercube import hypercube_topology
 from repro.topology.random_regular import random_regular_topology
+from repro.traffic import make_traffic
 from repro.traffic.base import TrafficMatrix
 
 
@@ -89,6 +97,98 @@ class TestDemandWeightedAspl:
         tm = TrafficMatrix(name="x", demands={(0, 1): 1.0}, num_flows=1)
         with pytest.raises(TopologyError, match="no path"):
             demand_weighted_aspl(topo, tm)
+
+
+@st.composite
+def _graph_and_pairs(draw):
+    """A graph of up to 40 switches split into up to four components
+    (isolated switches included), plus pairs with ``u == v`` and a repeat."""
+    n = draw(st.integers(1, 40))
+    component = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    node = st.integers(0, n - 1)
+    topo = Topology("drawn")
+    for v in range(n):
+        topo.add_switch(v)
+    for u, v in draw(st.lists(st.tuples(node, node), max_size=3 * n)):
+        if u != v and component[u] == component[v] and not topo.has_link(u, v):
+            topo.add_link(u, v)
+    pairs = draw(st.lists(st.tuples(node, node), min_size=1, max_size=60))
+    u, v = pairs[0]
+    return topo, pairs + [(u, u), (u, v)]
+
+
+def _csgraph_adjacency(topo):
+    return nx.to_scipy_sparse_array(
+        topo.graph, nodelist=topo.switches, weight=None, format="csr"
+    )
+
+
+def _csgraph_hop_sum(topo, traffic) -> float:
+    """``demand_hop_sum``'s accumulation order over csgraph BFS rows."""
+    index = {node: i for i, node in enumerate(topo.switches)}
+    adjacency = _csgraph_adjacency(topo)
+    by_source: dict = {}
+    for (u, v), units in traffic.demands.items():
+        by_source.setdefault(u, []).append((v, units))
+    total = 0.0
+    for u in sorted(by_source, key=repr):
+        row = csgraph.shortest_path(
+            adjacency, unweighted=True, indices=index[u]
+        )
+        for v, units in by_source[u]:
+            total += units * float(row[index[v]])
+    return total
+
+
+class TestPairDistanceKernel:
+    """The meet-in-the-middle kernel equals all-pairs BFS on every pair."""
+
+    @pytest.mark.parametrize("batch", [paths_mod.PAIR_BATCH, 3])
+    @given(case=_graph_and_pairs())
+    def test_matches_csgraph(self, batch, case):
+        topo, pairs = case
+        heads = np.array([u for u, _ in pairs])
+        tails = np.array([v for _, v in pairs])
+        with mock.patch.object(paths_mod, "PAIR_BATCH", batch):
+            ours = paths_mod._pair_distances(
+                paths_mod._reach_matrix(topo), heads, tails
+            )
+        reference = csgraph.shortest_path(
+            _csgraph_adjacency(topo), unweighted=True
+        )[heads, tails]
+        np.testing.assert_array_equal(ours, reference)
+
+    @pytest.mark.parametrize(
+        "kind,params",
+        [
+            ("fat-tree", {"k": 4}),
+            ("vl2", {"da": 8, "di": 8}),
+            ("rrg", {"num_switches": 30, "network_degree": 4,
+                     "servers_per_switch": 2, "seed": 3}),
+        ],
+    )
+    @pytest.mark.parametrize("model", ["permutation", "gravity"])
+    def test_hop_sum_bit_identical_to_csgraph(self, kind, params, model):
+        topo = make_topology(kind, **params)
+        traffic = make_traffic(model, topo, seed=4)
+        assert demand_hop_sum(topo, traffic) == _csgraph_hop_sum(topo, traffic)
+
+    def test_unroutable_names_first_pair_in_source_order(self):
+        topo = Topology("split")
+        for v in range(6):
+            topo.add_switch(v, servers=1)
+        topo.add_link(0, 1)
+        topo.add_link(1, 2)
+        topo.add_link(3, 4)
+        traffic = TrafficMatrix(
+            name="x",
+            demands={(4, 0): 1.0, (3, 5): 1.0, (1, 5): 2.0, (0, 1): 1.0},
+            num_flows=5,
+        )
+        with pytest.raises(TopologyError, match=r"demand 1->5 has no path"):
+            demand_hop_sum(topo, traffic)
+        with pytest.raises(TopologyError, match=r"demand 1->5 has no path"):
+            DemandHopTracker(topo, traffic)
 
 
 class TestDemandHopTracker:
