@@ -1,7 +1,8 @@
 """Exact max concurrent flow via an arc-based linear program.
 
-This replaces the paper's CPLEX runs with scipy's HiGHS solver. The model is
-the standard maximum concurrent multi-commodity flow LP:
+This replaces the paper's CPLEX runs with HiGHS, called through
+:func:`repro.flow.highs.linprog`. The model is the standard maximum
+concurrent multi-commodity flow LP:
 
     maximize    t
     subject to  flow conservation per commodity group and node,
@@ -14,15 +15,19 @@ variable per arc, which shrinks the LP by a factor of ~#switches relative
 to per-pair commodities without changing the optimum. The ablation
 benchmark ``bench_ablation_aggregation`` verifies the equivalence
 empirically; tests verify it exactly on small instances.
+
+:func:`_assemble` is the only code that builds this LP and
+:func:`_extract` the only code that reads its solution;
+:class:`repro.flow.incremental.EdgeLPModel` solves through both.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.exceptions import FlowError, SolverError
+from repro.flow.highs import linprog
 from repro.flow.reachability import resolve_unreachable, unserved_result
 from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
@@ -48,8 +53,9 @@ def max_concurrent_flow(
         demand.
     aggregate_by_source:
         Use one commodity per source switch (default, recommended). Setting
-        ``False`` builds one commodity per demand pair — exponentially
-        larger input, same optimum; retained for the aggregation ablation.
+        ``False`` builds one commodity per demand pair — up to N - 1 times
+        as many commodities on N switches, same optimum; retained for the
+        aggregation ablation.
     keep_commodity_flows:
         Also record per-commodity arc flows on the result (keyed by source
         switch). Required by exact path decomposition
@@ -61,7 +67,7 @@ def max_concurrent_flow(
         the dropped pairs on the result. See
         :mod:`repro.flow.reachability`.
     method:
-        HiGHS algorithm passed to :func:`scipy.optimize.linprog`. The
+        HiGHS algorithm passed to :func:`repro.flow.highs.linprog`. The
         default ``"highs"`` (simplex) gives vertex solutions; on large
         instances ``"highs-ipm"`` (interior point with crossover) solves
         the same LP several times faster with optima agreeing to machine
@@ -94,14 +100,24 @@ def max_concurrent_flow(
                 traffic.demands.items(), key=lambda kv: (repr(kv[0][0]), repr(kv[0][1]))
             )
         ]
-    result = _solve(
-        topo,
-        arcs,
-        commodities,
-        traffic,
-        solver_label="edge-lp",
-        keep_commodity_flows=keep_commodity_flows,
+    node_index = {node: i for i, node in enumerate(topo.switches)}
+    arc_tail, arc_head, capacities = _arc_arrays(arcs, node_index)
+    outcome = linprog(
+        **_assemble(node_index, arc_tail, arc_head, capacities, commodities),
         method=method,
+    )
+    if not outcome.success:
+        raise SolverError(
+            f"HiGHS failed on {topo.name!r} / {traffic.name!r}: {outcome.message}"
+        )
+    result = _extract(
+        outcome.x,
+        [(u, v) for u, v, _ in arcs],
+        capacities,
+        commodities,
+        traffic.total_demand,
+        solver="edge-lp",
+        keep_commodity_flows=keep_commodity_flows,
     )
     result.dropped_pairs = tuple(dropped)
     result.dropped_demand = dropped_demand
@@ -116,23 +132,10 @@ def _aggregate_by_source(traffic: TrafficMatrix) -> list[tuple]:
     return sorted(by_source.items(), key=lambda kv: repr(kv[0]))
 
 
-def _solve(
-    topo: Topology,
-    arcs: list,
-    commodities: list,
-    traffic: TrafficMatrix,
-    solver_label: str,
-    keep_commodity_flows: bool = False,
-    method: str = "highs",
-) -> ThroughputResult:
-    nodes = topo.switches
-    node_index = {node: i for i, node in enumerate(nodes)}
-    num_nodes = len(nodes)
+def _arc_arrays(arcs: list, node_index: dict) -> tuple:
+    """``(tail, head, capacities)`` of ``(u, v, capacity)`` arcs, in arc
+    order: node indices as int64, capacities as float64."""
     num_arcs = len(arcs)
-    num_commodities = len(commodities)
-    num_vars = num_commodities * num_arcs + 1  # + throughput variable t
-    t_col = num_vars - 1
-
     arc_tail = np.fromiter(
         (node_index[u] for u, _, _ in arcs), dtype=np.int64, count=num_arcs
     )
@@ -142,6 +145,29 @@ def _solve(
     capacities = np.fromiter(
         (cap for _, _, cap in arcs), dtype=np.float64, count=num_arcs
     )
+    return arc_tail, arc_head, capacities
+
+
+def _assemble(
+    node_index: dict,
+    arc_tail: np.ndarray,
+    arc_head: np.ndarray,
+    capacities: np.ndarray,
+    commodities: list,
+) -> dict:
+    """The LP as :func:`linprog` keyword arguments (all but ``method``).
+
+    Arc slot ``j`` runs from node ``arc_tail[j]`` to ``arc_head[j]``
+    (indices into ``node_index``) with capacity ``capacities[j]``;
+    ``commodities`` is ``[(source, {dest: units})]``. Variable
+    ``k * num_arcs + j`` is commodity ``k``'s flow on slot ``j``, and the
+    last variable is the throughput ``t``.
+    """
+    num_nodes = len(node_index)
+    num_arcs = len(arc_tail)
+    num_commodities = len(commodities)
+    num_vars = num_commodities * num_arcs + 1  # + throughput variable t
+    t_col = num_vars - 1
 
     # Equality rows: conservation for every commodity at every node except
     # the commodity's source (the source row is implied by the others).
@@ -212,7 +238,6 @@ def _solve(
         ),
         shape=(num_eq_rows, num_vars),
     ).tocsr()
-    b_eq = np.zeros(num_eq_rows)
 
     # Capacity rows: sum over commodities of flow on arc a <= capacity(a).
     ub_rows = np.tile(np.arange(num_arcs, dtype=np.int64), num_commodities)
@@ -221,37 +246,38 @@ def _solve(
         (np.ones(num_commodities * num_arcs), (ub_rows, ub_cols)),
         shape=(num_arcs, num_vars),
     ).tocsr()
-    b_ub = capacities
 
     objective = np.zeros(num_vars)
     objective[t_col] = -1.0  # linprog minimizes
+    return {
+        "c": objective,
+        "A_ub": a_ub,
+        "b_ub": capacities,
+        "A_eq": a_eq,
+        "b_eq": np.zeros(num_eq_rows),
+        "bounds": (0, None),
+    }
 
-    outcome = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method=method,
-    )
-    if not outcome.success:
-        raise SolverError(
-            f"HiGHS failed on {topo.name!r} / {traffic.name!r}: {outcome.message}"
-        )
 
-    solution = np.asarray(outcome.x)
-    throughput = float(solution[t_col])
+def _extract(
+    solution: np.ndarray,
+    arc_pairs: list,
+    capacities: np.ndarray,
+    commodities: list,
+    total_demand: float,
+    solver: str,
+    keep_commodity_flows: bool = False,
+) -> ThroughputResult:
+    """The :class:`ThroughputResult` of an optimal :func:`_assemble`
+    solution; ``arc_pairs[j]`` is arc slot ``j`` as ``(u, v)``."""
+    throughput = float(solution[-1])
+    per_commodity = solution[:-1].reshape(len(commodities), len(arc_pairs))
     # Per-arc totals come from one vectorized reduction; the O(K x m)
     # per-commodity dict materialization below runs only when the caller
     # asked for it (exact path decomposition does, nothing else should).
-    per_arc = solution[:t_col].reshape(num_commodities, num_arcs).sum(axis=0)
-    arc_pairs = [(u, v) for u, v, _ in arcs]
-    arc_flows = dict(zip(arc_pairs, map(float, per_arc)))
-    arc_caps = {(u, v): float(cap) for u, v, cap in arcs}
+    per_arc = per_commodity.sum(axis=0)
     commodity_flows = None
     if keep_commodity_flows:
-        per_commodity = solution[:t_col].reshape(num_commodities, num_arcs)
         commodity_flows = {}
         for k, (source, _) in enumerate(commodities):
             row = per_commodity[k]
@@ -266,10 +292,10 @@ def _solve(
                 commodity_flows[source] = flows_k
     return ThroughputResult(
         throughput=throughput,
-        arc_flows=arc_flows,
-        arc_capacities=arc_caps,
-        total_demand=traffic.total_demand,
-        solver=solver_label,
+        arc_flows=dict(zip(arc_pairs, map(float, per_arc))),
+        arc_capacities=dict(zip(arc_pairs, map(float, capacities))),
+        total_demand=total_demand,
+        solver=solver,
         exact=True,
         commodity_flows=commodity_flows,
     )

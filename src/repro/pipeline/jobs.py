@@ -495,15 +495,3 @@ class GridJob:
             # or done with missing cell payloads — re-enters pending.
         job.restored_indices = frozenset(restored)
         return job
-
-
-def job_from_grid(
-    grid: ScenarioGrid,
-    batch: bool = True,
-    cache_dir: "str | None" = None,
-    manifest_path: "str | None" = None,
-) -> GridJob:
-    """Convenience constructor mirroring :func:`run_grid`'s signature."""
-    return GridJob(
-        grid, batch=batch, cache_dir=cache_dir, manifest_path=manifest_path
-    )

@@ -156,11 +156,11 @@ class ThroughputObjective(Objective):
 
     When the backend is the exact edge LP and the workload is concrete,
     :meth:`attach` provides an incremental state built on
-    :class:`repro.flow.incremental.EdgeLPModel`: the sparse LP is
-    assembled once for the whole search and mutated per candidate swap,
-    and solves run on the interior-point hot path — the raw-speed
-    substrate measured in ``BENCH_solvers.json``. ``incremental=False``
-    opts out (every candidate then pays a cold assembly + simplex solve).
+    :class:`repro.flow.incremental.EdgeLPModel`: one model is built for
+    the whole search and rewired per candidate swap, and solves run on
+    the interior-point hot path — the raw-speed substrate measured in
+    ``BENCH_solvers.json``. ``incremental=False`` opts out (every
+    candidate then pays a cold build + simplex solve).
     """
 
     def __init__(

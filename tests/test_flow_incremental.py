@@ -1,12 +1,15 @@
 """Differential and property tests for the reusable :class:`EdgeLPModel`.
 
-The incremental model exists to replace a cold
-:func:`~repro.flow.edge_lp.max_concurrent_flow` rebuild per annealing
-swap; its entire correctness contract is "after any sequence of
-``apply_swap`` calls, the model's optimum equals a cold solve of the
-mutated topology". The differential matrix here pins that at 1e-9 over
-random swap walks, and the property tests pin the structural invariants
-the fixed-layout CSC mutation relies on.
+The incremental model replaces a cold
+:func:`~repro.flow.edge_lp.max_concurrent_flow` solve per annealing swap
+or replay step; its entire correctness contract is "after any sequence
+of ``apply_swap`` and ``apply_demand_delta`` calls, the model's optimum
+equals a cold solve of the mutated instance". The differential matrix
+here pins that at 1e-9 over random swap walks and delta streams. An
+unmutated model solves the very LP ``max_concurrent_flow`` does, so the
+two agree bit for bit. The property tests pin that swaps keep each
+capacity in its arc slot and track the mutated topology, and that a
+swap or delta followed by its inverse restores the model.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from repro.topology.mutation import (
     apply_double_edge_swap,
     double_edge_swap,
 )
+from repro.topology.fattree import fat_tree_topology
 from repro.topology.random_regular import random_regular_topology
+from repro.traffic.alltoall import all_to_all_traffic
 from repro.traffic.permutation import random_permutation_traffic
 
 TOL = 1e-9
@@ -94,6 +99,37 @@ class TestDifferentialMatrix:
         assert warm.total_demand == cold.total_demand
 
 
+class TestSameLPAsColdSolver:
+    """An unmutated model solves exactly ``max_concurrent_flow``'s LP."""
+
+    @staticmethod
+    def _assert_bit_identical(topo, traffic, method):
+        warm = EdgeLPModel(topo, traffic, method=method).solve_result()
+        cold = max_concurrent_flow(topo, traffic, method=method)
+        assert warm.throughput == cold.throughput
+        assert warm.arc_flows == cold.arc_flows
+
+    @pytest.mark.parametrize("method", ["highs", "highs-ipm"])
+    @pytest.mark.parametrize("pattern", ["permutation", "all_to_all"])
+    @pytest.mark.parametrize("num_switches", [12, 16, 20])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_regular(self, num_switches, seed, pattern, method):
+        topo = random_regular_topology(
+            num_switches, 4, servers_per_switch=2, seed=seed
+        )
+        if pattern == "permutation":
+            traffic = random_permutation_traffic(topo, seed=seed + 100)
+        else:
+            traffic = all_to_all_traffic(topo)
+        self._assert_bit_identical(topo, traffic, method)
+
+    @pytest.mark.parametrize("method", ["highs", "highs-ipm"])
+    def test_fat_tree(self, method):
+        topo = fat_tree_topology(4)
+        traffic = random_permutation_traffic(topo, seed=7)
+        self._assert_bit_identical(topo, traffic, method)
+
+
 class TestSwapMutation:
     def test_apply_swap_rejects_missing_removed_arc(self):
         topo, traffic = _instance(12, seed=1)
@@ -134,10 +170,9 @@ class TestSwapMutation:
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000), num_swaps=st.integers(1, 8))
 def test_structure_invariant_under_swaps(seed, num_swaps):
-    """Shape, nnz, capacities, and b_ub never move under swap walks."""
+    """Capacities never move between arc slots under swap walks."""
     topo, traffic = _instance(10, seed=17)
     model = EdgeLPModel(topo, traffic)
-    shape, nnz = model.shape, model.nnz
     capacities = model._capacities.copy()
     rng = np.random.default_rng(seed)
     for _ in range(num_swaps):
@@ -145,8 +180,6 @@ def test_structure_invariant_under_swaps(seed, num_swaps):
         if swap is None:
             break
         model.apply_swap(swap)
-    assert model.shape == shape
-    assert model.nnz == nnz
     assert np.array_equal(model._capacities, capacities)
     # The model's arc set tracks the mutated topology exactly.
     model_arcs = {(u, v) for u, v, _ in model.arcs()}
@@ -159,7 +192,7 @@ def test_structure_invariant_under_swaps(seed, num_swaps):
 def test_inverse_swap_restores_indices(seed):
     topo, traffic = _instance(10, seed=23)
     model = EdgeLPModel(topo, traffic)
-    indices = model._eq_indices.copy()
+    arcs = model.arcs()
     rng = np.random.default_rng(seed)
     swap = double_edge_swap(topo, rng=rng)
     if swap is None:
@@ -167,7 +200,7 @@ def test_inverse_swap_restores_indices(seed):
     model.apply_swap(swap)
     model.apply_swap(swap.inverse())
     apply_double_edge_swap(topo, swap.inverse())
-    assert np.array_equal(model._eq_indices, indices)
+    assert model.arcs() == arcs
 
 
 class TestDemandDeltas:
@@ -202,25 +235,28 @@ class TestDemandDeltas:
             )
         assert model.num_demand_deltas == timeline.num_steps - 1
 
-    def test_apply_then_inverse_restores_csc_arrays(self):
+    def test_apply_then_inverse_restores_lp(self, recorder):
         from repro.traffic.timeline import DemandDelta
 
         topo, timeline = self._timeline_instance(seed=3)
         model = EdgeLPModel(topo, timeline.base, sources="all")
-        data = model._eq_data.copy()
-        indices = model._eq_indices.copy()
-        indptr = model._eq_indptr.copy()
         total = model.total_demand
         switches = topo.switches
         delta = DemandDelta.adding(
             {(switches[0], switches[5]): 2.0, (switches[1], switches[2]): 1.0}
         )
+        model.solve()
         model.apply_demand_delta(delta)
         assert model.total_demand == pytest.approx(total + 3.0)
         model.apply_demand_delta(delta.inverse())
-        assert np.array_equal(model._eq_data, data)
-        assert np.array_equal(model._eq_indices, indices)
-        assert np.array_equal(model._eq_indptr, indptr)
+        model.solve()
+        before, after = recorder.calls
+        for key in ("c", "b_ub", "b_eq"):
+            assert np.array_equal(before[key], after[key]), key
+        for key in ("A_ub", "A_eq"):
+            assert np.array_equal(
+                before[key].toarray(), after[key].toarray()
+            ), key
         assert model.total_demand == pytest.approx(total)
 
     def test_new_source_needs_sources_all(self):
