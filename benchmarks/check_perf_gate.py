@@ -4,7 +4,8 @@ Run after the gated benchmarks have appended fresh records: the newest
 record of each gated benchmark is compared against the best (fastest)
 *committed* record, and the gate fails on a >2x slowdown of
 
-- the warm (incremental-model) anneal at N = 64 and the end-to-end
+- the cold exact solves of the default method at N = 20 and 40, the
+  warm (incremental-model) anneal at N = 64 and the end-to-end
   N = 100,000 estimator-ladder cell (``BENCH_solvers.json``, appended by
   ``bench_solvers.py``),
 - the mean per-step latency of a warm-started 60-step replay
@@ -31,6 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Gated artifact -> {benchmark name -> (watched timing field, its unit)}.
 GATES = {
     "BENCH_solvers.json": {
+        "edge_lp_cold": ("ipm_seconds", "s"),
         "incremental_anneal_n64": ("warm_seconds", "s"),
         "estimator_ladder_100k": ("total_seconds", "s"),
     },

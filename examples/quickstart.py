@@ -35,7 +35,9 @@ def main() -> None:
     print(f"topology : {topo}")
     print(f"traffic  : {traffic}")
 
-    result = max_concurrent_flow(topo, traffic)
+    # Kept commodity flows are the least-volume optimal flow, which
+    # fixes U and AS below (the LP has many optimal flows).
+    result = max_concurrent_flow(topo, traffic, keep_commodity_flows=True)
     bound = throughput_upper_bound(
         num_switches, network_degree, traffic.num_network_flows
     )

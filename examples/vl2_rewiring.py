@@ -46,7 +46,9 @@ def main() -> None:
                                          seed=3)),
     ):
         traffic = random_permutation_traffic(topo, seed=5)
-        result = max_concurrent_flow(topo, traffic)
+        # Read utilization from the least-volume optimal flow: another
+        # optimum may route the same throughput over longer paths.
+        result = max_concurrent_flow(topo, traffic, keep_commodity_flows=True)
         groups = group_utilization(topo, result)
         print(f"{label}: per-flow throughput {result.throughput:.3f}")
         for group, utilization in sorted(groups.items()):

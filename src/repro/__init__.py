@@ -71,6 +71,7 @@ from repro.flow import (
     garg_koenemann_throughput,
     max_concurrent_flow,
     max_concurrent_flow_paths,
+    min_hop_flow,
 )
 from repro.core import (
     HeterogeneousDesigner,
@@ -115,6 +116,7 @@ __all__ = [
     "ThroughputResult",
     "max_concurrent_flow",
     "max_concurrent_flow_paths",
+    "min_hop_flow",
     "garg_koenemann_throughput",
     "decompose_throughput",
     # core

@@ -18,6 +18,7 @@ from repro.flow.decomposition import (
     decompose_throughput,
     group_utilization,
 )
+from repro.flow.edge_lp import min_hop_flow
 from repro.flow.result import ThroughputResult
 from repro.metrics.paths import average_shortest_path_length, diameter
 from repro.pipeline.engine import evaluate_throughput
@@ -117,6 +118,13 @@ def analyze_network(
     result:
         Optionally reuse an already-solved flow result for the given
         traffic instead of re-solving.
+
+    The flow-based figures (decomposition, link-group utilization and
+    saturated arcs) of an exact result are read from its least-volume
+    optimal flow, not from whichever optimal flow the solver returned:
+    the solve asks for ``keep_commodity_flows=True``, and an exact
+    ``result`` passed in goes through
+    :func:`~repro.flow.edge_lp.min_hop_flow`.
     """
     is_regular, degree = _regularity(topo)
     aspl = average_shortest_path_length(topo)
@@ -142,7 +150,9 @@ def analyze_network(
         traffic = make_traffic(traffic, topo, seed=seed)
 
     if result is None:
-        result = evaluate_throughput(topo, traffic)
+        result = evaluate_throughput(topo, traffic, keep_commodity_flows=True)
+    elif result.exact and result.throughput > 0:
+        result = min_hop_flow(topo, traffic, result)
     analysis.traffic_name = traffic.name
     analysis.throughput = result.throughput
     if is_regular and degree and traffic.num_network_flows > 0:

@@ -6,7 +6,11 @@ cross-cluster sweep, (c) the mixed-speed high-port-count sweep. Each
 metric is normalized by its value at the throughput-peak x so curves are
 comparable; the paper's conclusion is that utilization (i.e. bottleneck
 formation) tracks throughput far better than path-length effects, though
-path length contributes at the placement extremes.
+path length contributes at the placement extremes. Utilization and
+stretch are read from the least-volume optimal flow, which
+``keep_commodity_flows=True`` returns (see
+:func:`~repro.flow.edge_lp.min_hop_flow`), since the exact LP has many
+optimal flows and the solver's choice among them is arbitrary.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ def _measure(topo_factory, runs: int, seed) -> "dict[str, float] | None":
         if not topo.is_connected():
             continue
         traffic = random_permutation_traffic(topo, seed=child)
-        result = evaluate_throughput(topo, traffic)
+        result = evaluate_throughput(topo, traffic, keep_commodity_flows=True)
         if result.throughput <= 0:
             continue
         dec = decompose_throughput(topo, traffic, result)

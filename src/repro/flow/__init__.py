@@ -9,7 +9,9 @@ into the metric itself.
 Three engines are provided:
 
 - :func:`~repro.flow.edge_lp.max_concurrent_flow` — exact arc-based LP
-  (scipy HiGHS) with commodities aggregated by source switch,
+  (scipy HiGHS) with commodities aggregated by source switch, and
+  :func:`~repro.flow.edge_lp.min_hop_flow`, its least-volume optimal
+  flow for callers that read flows,
 - :func:`~repro.flow.path_lp.max_concurrent_flow_paths` — LP restricted to
   k-shortest path sets (a fast lower bound, and the model MPTCP-over-
   shortest-paths approximates),
@@ -22,7 +24,7 @@ from repro.flow.reachability import (
     UNREACHABLE_POLICIES,
     split_unreachable_demands,
 )
-from repro.flow.edge_lp import max_concurrent_flow
+from repro.flow.edge_lp import max_concurrent_flow, min_hop_flow
 from repro.flow.path_lp import max_concurrent_flow_paths
 from repro.flow.approx import garg_koenemann_throughput
 from repro.flow.ecmp import ecmp_throughput
@@ -60,6 +62,7 @@ __all__ = [
     "UNREACHABLE_POLICIES",
     "split_unreachable_demands",
     "max_concurrent_flow",
+    "min_hop_flow",
     "max_concurrent_flow_paths",
     "garg_koenemann_throughput",
     "ecmp_throughput",

@@ -11,7 +11,10 @@ ratio of routed path length to shortest path length). With total demand
 holds exactly for any feasible flow, because both sides equal delivered
 volume over flow-hops. :func:`decompose_throughput` computes the factors
 from a solved :class:`~repro.flow.result.ThroughputResult` and records the
-numerical residual of the identity.
+numerical residual of the identity. ``U`` and ``AS`` are those of the
+result's flow; an exact LP has many optimal flows, so decompose
+:func:`~repro.flow.edge_lp.min_hop_flow`'s least-volume one, as Figure 9
+and :func:`~repro.analysis.report.analyze_network` do.
 """
 
 from __future__ import annotations

@@ -19,6 +19,14 @@ empirically; tests verify it exactly on small instances.
 :func:`_assemble` is the only code that builds this LP and
 :func:`_extract` the only code that reads its solution;
 :class:`repro.flow.incremental.EdgeLPModel` solves through both.
+
+Every cold solve runs :data:`DEFAULT_METHOD`, interior point with
+crossover. Its optimum is the simplex optimum to machine precision, but
+an LP with many optima may return a different optimal *flow*, and
+utilization, stretch and path decompositions depend on which one.
+:func:`min_hop_flow` picks the canonical one, the optimal flow of least
+total volume, for the callers that read flows; throughput-only callers
+skip it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,12 @@ from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
 from repro.traffic.base import TrafficMatrix
 
+#: LP algorithm of every solve without a starting basis. Interior point
+#: with crossover returns a basic optimal solution like simplex does,
+#: several times faster on the multi-commodity instances sweeps run (see
+#: ``docs/performance.md``), but not necessarily the same optimal flow.
+DEFAULT_METHOD = "highs-ipm"
+
 
 def max_concurrent_flow(
     topo: Topology,
@@ -40,7 +54,7 @@ def max_concurrent_flow(
     aggregate_by_source: bool = True,
     keep_commodity_flows: bool = False,
     unreachable: str = "error",
-    method: str = "highs",
+    method: str = DEFAULT_METHOD,
 ) -> ThroughputResult:
     """Solve the exact max concurrent flow problem.
 
@@ -60,7 +74,9 @@ def max_concurrent_flow(
         Also record per-commodity arc flows on the result (keyed by source
         switch). Required by exact path decomposition
         (:mod:`repro.flow.path_decomposition`); costs O(commodities x arcs)
-        memory.
+        memory and a second solve by ``method``: the flows are the
+        least-volume optimum of :func:`min_hop_flow`, which carries no
+        flow around cycles.
     unreachable:
         Policy for demands with no path (degraded fabrics): ``"error"``
         raises, ``"drop"`` solves over the served demand set and records
@@ -68,10 +84,9 @@ def max_concurrent_flow(
         :mod:`repro.flow.reachability`.
     method:
         HiGHS algorithm passed to :func:`repro.flow.highs.linprog`. The
-        default ``"highs"`` (simplex) gives vertex solutions; on large
-        instances ``"highs-ipm"`` (interior point with crossover) solves
-        the same LP several times faster with optima agreeing to machine
-        precision — the hot-path choice of :mod:`repro.flow.incremental`.
+        default :data:`DEFAULT_METHOD` (interior point with crossover)
+        and ``"highs"`` (simplex) reach the same optimum to machine
+        precision, but may return different optimal flows.
 
     Returns
     -------
@@ -100,19 +115,15 @@ def max_concurrent_flow(
                 traffic.demands.items(), key=lambda kv: (repr(kv[0][0]), repr(kv[0][1]))
             )
         ]
-    node_index = {node: i for i, node in enumerate(topo.switches)}
-    arc_tail, arc_head, capacities = _arc_arrays(arcs, node_index)
-    outcome = linprog(
-        **_assemble(node_index, arc_tail, arc_head, capacities, commodities),
-        method=method,
-    )
-    if not outcome.success:
-        raise SolverError(
-            f"HiGHS failed on {topo.name!r} / {traffic.name!r}: {outcome.message}"
-        )
+    lp, arc_pairs, capacities = _lp(topo, arcs, commodities)
+    solution = _solve(lp, topo, traffic, method)
+    if keep_commodity_flows:
+        # Path peeling discards flow that circulates; the least-volume
+        # optimum carries none.
+        solution = _solve(_min_hop_lp(lp, solution[-1]), topo, traffic, method)
     result = _extract(
-        outcome.x,
-        [(u, v) for u, v, _ in arcs],
+        solution,
+        arc_pairs,
         capacities,
         commodities,
         traffic.total_demand,
@@ -122,6 +133,74 @@ def max_concurrent_flow(
     result.dropped_pairs = tuple(dropped)
     result.dropped_demand = dropped_demand
     return result
+
+
+def min_hop_flow(
+    topo: Topology, traffic: TrafficMatrix, result: ThroughputResult
+) -> ThroughputResult:
+    """The least-volume flow that achieves ``result.throughput``.
+
+    The §6.1 identity ``t = C * U / (<D> * AS * f)`` holds for any
+    feasible flow, and an exact LP has many optimal ones, so utilization
+    ``U`` and stretch ``AS`` are defined only once the flow is. This
+    second stage fixes ``t`` at ``result.throughput`` and minimizes the
+    total flow over all arcs (flow-hops), which gives every optimal
+    ``result`` the same ``U`` and ``AS`` and leaves no flow on cycles.
+    It costs about one more cold solve, so only callers that read flows
+    run it.
+
+    The returned result keeps ``result``'s throughput bit for bit and its
+    dropped pairs, and carries per-commodity flows (keyed by source
+    switch) for :func:`~repro.flow.path_decomposition.decompose_commodity_flows`.
+    Raises :class:`SolverError` when HiGHS fails.
+    """
+    if result.dropped_pairs:
+        traffic, _, _ = resolve_unreachable(topo, traffic, "drop")
+    commodities = _aggregate_by_source(traffic)
+    lp, arc_pairs, capacities = _lp(topo, topo.arcs(), commodities)
+    flow = _extract(
+        _solve(_min_hop_lp(lp, result.throughput), topo, traffic),
+        arc_pairs,
+        capacities,
+        commodities,
+        traffic.total_demand,
+        solver=result.solver,
+        keep_commodity_flows=True,
+    )
+    flow.dropped_pairs = result.dropped_pairs
+    flow.dropped_demand = result.dropped_demand
+    return flow
+
+
+def _lp(topo: Topology, arcs: list, commodities: list) -> tuple:
+    """``(LP, arc pairs, capacities)`` of ``commodities`` over ``topo``'s
+    ``(u, v, capacity)`` arcs."""
+    node_index = {node: i for i, node in enumerate(topo.switches)}
+    arc_tail, arc_head, capacities = _arc_arrays(arcs, node_index)
+    lp = _assemble(node_index, arc_tail, arc_head, capacities, commodities)
+    return lp, [(u, v) for u, v, _ in arcs], capacities
+
+
+def _min_hop_lp(lp: dict, throughput: float) -> dict:
+    """``lp`` with ``t`` fixed at ``throughput``, minimizing total flow."""
+    cost = np.ones(len(lp["c"]))
+    cost[-1] = 0.0
+    bounds = np.zeros((len(cost), 2))
+    bounds[:-1, 1] = np.inf
+    bounds[-1] = throughput
+    return {**lp, "c": cost, "bounds": bounds}
+
+
+def _solve(
+    lp: dict, topo: Topology, traffic: TrafficMatrix, method: str = DEFAULT_METHOD
+) -> np.ndarray:
+    """Optimal solution of ``lp``; raises :class:`SolverError` on failure."""
+    outcome = linprog(**lp, method=method)
+    if not outcome.success:
+        raise SolverError(
+            f"HiGHS failed on {topo.name!r} / {traffic.name!r}: {outcome.message}"
+        )
+    return outcome.x
 
 
 def _aggregate_by_source(traffic: TrafficMatrix) -> list[tuple]:

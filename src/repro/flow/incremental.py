@@ -16,12 +16,10 @@ and commodities; the rebuild is a few milliseconds next to a solve.
 - A demand delta edits the per-commodity demands. The commodity set is
   fixed when the model is built, so the LP keeps its rows and columns.
 
-Cold solves default to ``method="highs-ipm"`` (interior point +
-crossover), which on the anneal-scale instances measured in
-``BENCH_solvers.json`` is ~10x faster than the default simplex with optima
-agreeing to machine precision; the differential test matrix pins
-mutated-model optima to cold :func:`~repro.flow.edge_lp.max_concurrent_flow`
-solves at 1e-9.
+Solves without a basis run :data:`~repro.flow.edge_lp.DEFAULT_METHOD`
+(interior point with crossover), the method of every cold
+:func:`~repro.flow.edge_lp.max_concurrent_flow` solve; the differential
+test matrix pins mutated-model optima to cold solves at 1e-9.
 
 A demand delta changes only the throughput column, so the next solve
 restarts dual simplex from the kept basis (through the basis-aware
@@ -38,6 +36,7 @@ import numpy as np
 
 from repro.exceptions import FlowError, SolverError
 from repro.flow.edge_lp import (
+    DEFAULT_METHOD,
     _aggregate_by_source,
     _arc_arrays,
     _assemble,
@@ -48,12 +47,6 @@ from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
 from repro.topology.mutation import DoubleEdgeSwap
 from repro.traffic.base import TrafficMatrix
-
-#: LP algorithm of a solve without a basis (a fresh model, or one after a
-#: swap). Interior point with crossover returns a basic optimal solution
-#: like simplex does, several times faster on the multi-commodity
-#: instances this module exists for.
-DEFAULT_METHOD = "highs-ipm"
 
 #: LP algorithm of a solve that starts from the previous basis. HiGHS
 #: ignores a starting basis under interior point.

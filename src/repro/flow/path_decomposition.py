@@ -51,8 +51,9 @@ def decompose_commodity_flows(
     -------
     dict
         Mapping source switch -> list of :class:`PathFlow`. Cyclic
-        residuals (possible in degenerate LP vertices) are discarded; they
-        carry no delivered traffic.
+        residuals are discarded; they carry no delivered traffic. The
+        flows ``max_concurrent_flow`` keeps are the least-volume optimum,
+        which has none.
     """
     if result.commodity_flows is None:
         raise FlowError(

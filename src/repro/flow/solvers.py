@@ -175,6 +175,7 @@ register_solver(
     description="exact arc-based LP (scipy HiGHS), commodities by source",
     exact=True,
     aliases=("edge-lp",),
+    revision=1,
 )
 register_solver(
     "path_lp",
@@ -295,6 +296,7 @@ register_solver(
     description="exact LP on a scaled demand sample (mid-scale)",
     exact=False,
     estimate=True,
+    revision=1,
 )
 
 # Routing-fidelity backends live in repro.fidelity and follow the same

@@ -237,7 +237,8 @@ class _WindowSolver:
         return self.plan.solver.solve(self.topo, matrix), "fallback"
 
     def _solve_lp(self, step: int) -> tuple:
-        from repro.flow.incremental import DEFAULT_METHOD, EdgeLPModel
+        from repro.flow.edge_lp import DEFAULT_METHOD
+        from repro.flow.incremental import EdgeLPModel
 
         method = self.options.get("method", DEFAULT_METHOD)
         mode = "warm"

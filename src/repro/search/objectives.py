@@ -157,10 +157,12 @@ class ThroughputObjective(Objective):
     When the backend is the exact edge LP and the workload is concrete,
     :meth:`attach` provides an incremental state built on
     :class:`repro.flow.incremental.EdgeLPModel`: one model is built for
-    the whole search and rewired per candidate swap, and solves run on
-    the interior-point hot path — the raw-speed substrate measured in
-    ``BENCH_solvers.json``. ``incremental=False`` opts out (every
-    candidate then pays a cold build + simplex solve).
+    the whole search and rewired per candidate swap. A swap drops the
+    model's basis, so each candidate is still a cold solve by the same
+    method as a cold :func:`~repro.flow.edge_lp.max_concurrent_flow`;
+    the model saves only the topology copy and arc listing.
+    ``incremental=False`` opts out (every candidate then pays a cold
+    build and solve).
     """
 
     def __init__(
@@ -195,7 +197,7 @@ class ThroughputObjective(Objective):
         }
         if extras:
             return None
-        from repro.flow.incremental import DEFAULT_METHOD
+        from repro.flow.edge_lp import DEFAULT_METHOD
 
         return _IncrementalLPState(
             topo,

@@ -52,6 +52,56 @@ class TestWithWorkload:
         analysis = analyze_network(small_rrg, traffic=traffic, result=result)
         assert analysis.throughput == result.throughput
 
+    def test_decomposition_does_not_depend_on_the_method(self, small_rrg):
+        """An exact result is decomposed through its least-volume optimal
+        flow, whose volume every optimal first stage shares."""
+        from repro.flow.edge_lp import max_concurrent_flow, min_hop_flow
+
+        traffic = random_permutation_traffic(small_rrg, seed=3)
+        results = [
+            max_concurrent_flow(small_rrg, traffic, method=method)
+            for method in ("highs", "highs-ipm")
+        ]
+        canonical = min_hop_flow(small_rrg, traffic, results[1])
+        analyses = [
+            analyze_network(small_rrg, traffic=traffic, result=result)
+            for result in results
+        ]
+        assert analyses[1].decomposition.utilization == canonical.utilization
+        assert analyses[0].decomposition.utilization == pytest.approx(
+            canonical.utilization, rel=1e-9
+        )
+
+    def test_rerun_against_a_warm_cache_solves_nothing(
+        self, small_rrg, tmp_path, monkeypatch
+    ):
+        """The least-volume flow is solved with the throughput and cached
+        with it, so a re-run reads both from disk."""
+        import repro.flow.edge_lp as edge_lp
+
+        solves = []
+        linprog = edge_lp.linprog
+
+        def counting(*args, **kwargs):
+            solves.append(kwargs["method"])
+            return linprog(*args, **kwargs)
+
+        traffic = random_permutation_traffic(small_rrg, seed=3)
+        canonical = edge_lp.min_hop_flow(
+            small_rrg, traffic, edge_lp.max_concurrent_flow(small_rrg, traffic)
+        )
+        monkeypatch.setattr(edge_lp, "linprog", counting)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        cold = analyze_network(small_rrg, traffic=traffic)
+        assert len(solves) == 2
+        warm = analyze_network(small_rrg, traffic=traffic)
+        assert len(solves) == 2
+        for analysis in (cold, warm):
+            assert analysis.throughput == canonical.throughput
+            assert analysis.decomposition.utilization == canonical.utilization
+            assert analysis.decomposition.stretch == cold.decomposition.stretch
+            assert analysis.group_utilizations == cold.group_utilizations
+
     def test_bottleneck_localization_in_starved_cluster(self):
         topo = two_cluster_random_topology(
             4, 6, 8, 3,

@@ -194,6 +194,31 @@ class TestExplanatoryFigures:
         t0 = throughput.y_at(bottom)
         assert abs(utilization.y_at(bottom) - t0) < abs(spl.y_at(bottom) - t0)
 
+    def test_fig9_rerun_against_a_warm_cache_solves_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        # U and AS come from the least-volume optimal flow, which is
+        # cached with the throughput it was solved for.
+        import repro.flow.edge_lp as edge_lp
+
+        solves = []
+        linprog = edge_lp.linprog
+
+        def counting(*args, **kwargs):
+            solves.append(kwargs["method"])
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(edge_lp, "linprog", counting)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        config = TwoTypeConfig(4, 10, 8, 4, 28, label="A")
+        cold = run_fig9b(config=config, points=3, runs=1, seed=3)
+        assert solves and len(solves) % 2 == 0
+        count = len(solves)
+        warm = run_fig9b(config=config, points=3, runs=1, seed=3)
+        assert len(solves) == count
+        for name in ("Throughput", "Utilization", "Inverse SPL", "Inverse Stretch"):
+            assert warm.get_series(name).ys() == cold.get_series(name).ys()
+
     def test_fig10a_bound_upper_bounds_throughput(self):
         cases = (TwoTypeConfig(4, 10, 8, 4, 28, label="A"),)
         result = run_fig10a(

@@ -151,8 +151,14 @@ class TestPathSummaries:
         )
         decomposed = decompose_commodity_flows(result)
         paths = [p for group in decomposed.values() for p in group]
-        # Optimal vertices may contain tiny cyclic residuals; allow a small
-        # relative gap between decomposition and aggregate accounting.
+        # Kept commodity flows are the least-volume optimum, which has no
+        # cycles: every flow-hop lies on a peeled path.
+        volume = sum(
+            sum(flows.values()) for flows in result.commodity_flows.values()
+        )
+        assert sum(p.amount * p.hops for p in paths) == pytest.approx(
+            volume, rel=1e-9
+        )
         assert mean_path_length(paths) == pytest.approx(
-            result.mean_routed_path_length, rel=0.02
+            result.mean_routed_path_length, rel=1e-9
         )

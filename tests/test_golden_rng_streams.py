@@ -72,7 +72,9 @@ def _lp_instances():
 @pytest.mark.parametrize("case", _lp_cases(), ids=lambda case: case["name"])
 def test_edge_lp_solution_is_frozen(case):
     instances = _lp_instances()
-    base = case["name"].replace("-commodity", "").replace("-perpair", "")
+    base = case["name"]
+    for suffix in ("-ipm", "-perpair", "-commodity"):
+        base = base.removesuffix(suffix)
     topo, traffic = instances[base]
     result = max_concurrent_flow(topo, traffic, **case["kwargs"])
     assert result.throughput.hex() == case["throughput"]

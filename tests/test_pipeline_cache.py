@@ -86,7 +86,10 @@ class TestFingerprints:
         config = SolverConfig.make("path_lp", k=4)
         assert solver_fingerprint(config) == stable_digest(config.to_dict())
 
-    @pytest.mark.parametrize("name", ["estimate_cut", "estimate_spectral"])
+    @pytest.mark.parametrize(
+        "name",
+        ["edge_lp", "estimate_cut", "estimate_sampled_lp", "estimate_spectral"],
+    )
     def test_revised_backend_gets_a_new_key(self, name):
         assert get_solver(name).revision == 1
         for config in (SolverConfig(name), SolverConfig.make(name, seed=3)):
