@@ -1,5 +1,5 @@
-"""Solver hot path: cold exact solves, incremental LP reuse and the
-N = 100,000 estimator ladder.
+"""Solver hot path: cold exact solves and the N = 100,000 estimator
+ladder.
 
 Publishes the raw-speed claims of the solver pass into
 ``BENCH_solvers.json`` (append-only; the CI perf gate compares the newest
@@ -7,11 +7,7 @@ record against the committed trajectory — see ``docs/performance.md``):
 
 - a cold exact ``edge_lp`` solve by the default method (interior point
   with crossover) is faster than by simplex on the sweep-scale RRGs,
-  with optima agreeing to 1e-12,
-- annealing against the exact edge LP with the reusable
-  :class:`~repro.flow.incremental.EdgeLPModel` is >= 3x faster end-to-end
-  than cold per-swap solves at N = 64, with identical optima (the warm
-  winner re-solved cold agrees to 1e-9), and
+  with optima agreeing to 1e-12, and
 - the estimator ladder (``bound`` / ``cut`` / ``spectral``) completes an
   N = 100,000 RRG cell end-to-end, with per-rung timings and an exact
   Theorem-1 bound.
@@ -25,8 +21,6 @@ from conftest import append_record, run_once
 
 from repro.estimate.batch import LADDER_SOLVERS, SharedArtifacts, run_ladder
 from repro.flow.edge_lp import DEFAULT_METHOD, max_concurrent_flow
-from repro.search.annealing import CoolingSchedule, anneal
-from repro.search.objectives import LPThroughputObjective
 from repro.topology.random_regular import random_regular_topology
 from repro.traffic.alltoall import all_to_all_traffic
 from repro.traffic.permutation import random_permutation_traffic
@@ -36,18 +30,6 @@ from repro.traffic.permutation import random_permutation_traffic
 COLD_INSTANCES = ((20, "all-to-all"), (40, "permutation"))
 COLD_DEGREE = 8
 COLD_SERVERS = 4
-
-# Anneal design point: paper regime, big enough that the LP dominates.
-ANNEAL_SWITCHES = 64
-ANNEAL_DEGREE = 8
-ANNEAL_STEPS = 8
-ANNEAL_SEED = 7
-#: Fixed schedule so both runs skip temperature calibration (which would
-#: add solver calls outside the timed swap loop) and sample identical
-#: swap/acceptance streams.
-ANNEAL_SCHEDULE = CoolingSchedule(
-    initial_temperature=0.05, final_temperature=0.001
-)
 
 LADDER_SWITCHES = 100_000
 LADDER_DEGREE = 8
@@ -107,63 +89,6 @@ def test_edge_lp_cold_default_beats_simplex(benchmark):
             f"{label}_throughput": value
             for label, value in throughputs[DEFAULT_METHOD].items()
         },
-    )
-
-
-def _anneal_pair():
-    topo = random_regular_topology(
-        ANNEAL_SWITCHES, ANNEAL_DEGREE, servers_per_switch=1, seed=0
-    )
-    traffic = random_permutation_traffic(topo, seed=1)
-    timings = {}
-    results = {}
-    for label, incremental in (("warm", True), ("cold", False)):
-        objective = LPThroughputObjective(traffic, incremental=incremental)
-        start = time.perf_counter()
-        results[label] = anneal(
-            topo,
-            objective,
-            steps=ANNEAL_STEPS,
-            seed=ANNEAL_SEED,
-            schedule=ANNEAL_SCHEDULE,
-        )
-        timings[label] = time.perf_counter() - start
-    return topo, traffic, results, timings
-
-
-def test_incremental_anneal_speedup(benchmark):
-    topo, traffic, results, timings = run_once(benchmark, _anneal_pair)
-    warm, cold = results["warm"], results["cold"]
-    speedup = timings["cold"] / timings["warm"]
-    # Same swap stream, same schedule: the reused model must land on the
-    # same optimum the cold per-swap solves land on...
-    assert abs(warm.best_score - cold.best_score) <= 1e-9, (
-        f"warm optimum {warm.best_score!r} != cold {cold.best_score!r}"
-    )
-    # ...and the mutated model's score must match a from-scratch solve of
-    # the winning topology (the incremental state never drifts).
-    resolve = max_concurrent_flow(warm.topology, traffic).throughput
-    assert abs(resolve - warm.best_score) <= 1e-9, (
-        f"cold re-solve {resolve!r} != warm best {warm.best_score!r}"
-    )
-    assert speedup >= 3.0, f"incremental anneal only {speedup:.2f}x faster"
-    print()
-    print(
-        f"anneal N={ANNEAL_SWITCHES} d={ANNEAL_DEGREE} "
-        f"steps={ANNEAL_STEPS}: warm {timings['warm']:.1f}s "
-        f"cold {timings['cold']:.1f}s ({speedup:.1f}x), "
-        f"optimum {warm.best_score:.6f}"
-    )
-    append_record(
-        "BENCH_solvers.json",
-        "incremental_anneal_n64",
-        num_switches=ANNEAL_SWITCHES,
-        network_degree=ANNEAL_DEGREE,
-        steps=ANNEAL_STEPS,
-        warm_seconds=round(timings["warm"], 4),
-        cold_seconds=round(timings["cold"], 4),
-        speedup=round(speedup, 2),
-        best_score=warm.best_score,
     )
 
 

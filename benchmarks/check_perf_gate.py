@@ -4,10 +4,9 @@ Run after the gated benchmarks have appended fresh records: the newest
 record of each gated benchmark is compared against the best (fastest)
 *committed* record, and the gate fails on a >2x slowdown of
 
-- the cold exact solves of the default method at N = 20 and 40, the
-  warm (incremental-model) anneal at N = 64 and the end-to-end
-  N = 100,000 estimator-ladder cell (``BENCH_solvers.json``, appended by
-  ``bench_solvers.py``),
+- the cold exact solves of the default method at N = 20 and 40 and the
+  end-to-end N = 100,000 estimator-ladder cell (``BENCH_solvers.json``,
+  appended by ``bench_solvers.py``),
 - the mean per-step latency of a warm-started 60-step replay
   (``BENCH_pipeline.json``, appended by ``bench_replay.py``), and
 - the cold cost-Pareto design run over every generator family
@@ -33,7 +32,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 GATES = {
     "BENCH_solvers.json": {
         "edge_lp_cold": ("ipm_seconds", "s"),
-        "incremental_anneal_n64": ("warm_seconds", "s"),
         "estimator_ladder_100k": ("total_seconds", "s"),
     },
     "BENCH_pipeline.json": {

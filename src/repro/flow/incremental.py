@@ -1,33 +1,24 @@
-"""Reusable max-concurrent-flow LP models for swap-adjacent instances.
+"""A reusable max-concurrent-flow LP model for demand-delta chains.
 
-The annealing, growth and replay inner loops solve thousands of
-instances that differ from their predecessor by one double edge swap or
-one demand delta. :class:`EdgeLPModel` keeps the state such a chain
-shares: arc slots, per-commodity demands and the HiGHS basis of its last
-optimal solve. Every solve builds the LP from that state through
-:mod:`repro.flow.edge_lp`'s assembly, so a model solves exactly the LP
-:func:`~repro.flow.edge_lp.max_concurrent_flow` solves for the same arcs
-and commodities; the rebuild is a few milliseconds next to a solve.
+Trace replay solves runs of instances that differ from their
+predecessor by one demand delta. :class:`EdgeLPModel` keeps the state
+such a run shares: the arcs, the per-commodity demands and the HiGHS
+basis of its last optimal solve. Every solve builds the LP from that
+state through :mod:`repro.flow.edge_lp`'s assembly, so a model solves
+exactly the LP :func:`~repro.flow.edge_lp.max_concurrent_flow` solves
+for the same arcs and commodities; the rebuild is a few milliseconds
+next to a solve.
 
-- Arc slot ``j`` holds one directed arc and its capacity. A double edge
-  swap rewrites the endpoints of 4 slots; capacities travel with their
-  slot exactly as :class:`~repro.topology.mutation.DoubleEdgeSwap`
-  specifies (``(a, d)`` inherits the capacity of ``(a, b)``).
-- A demand delta edits the per-commodity demands. The commodity set is
-  fixed when the model is built, so the LP keeps its rows and columns.
-
-Solves without a basis run :data:`~repro.flow.edge_lp.DEFAULT_METHOD`
-(interior point with crossover), the method of every cold
-:func:`~repro.flow.edge_lp.max_concurrent_flow` solve; the differential
-test matrix pins mutated-model optima to cold solves at 1e-9.
-
-A demand delta changes only the throughput column, so the next solve
+A demand delta edits the per-commodity demands. The commodity set is
+fixed when the model is built, so the LP keeps its rows and columns and
+differs only in the throughput column. The next solve therefore
 restarts dual simplex from the kept basis (through the basis-aware
 :func:`repro.flow.highs.linprog`), several times faster than a cold
-interior-point solve on replay windows. A swap moves 4 arc slots in
-every commodity, which leaves the old basis a poor start, so
-:meth:`~EdgeLPModel.apply_swap` drops it and the next solve is cold
-again. :func:`model_stats` exposes the counters.
+interior-point solve on replay windows. The first solve has no basis
+and runs :data:`~repro.flow.edge_lp.DEFAULT_METHOD` (interior point
+with crossover), the method of every cold
+:func:`~repro.flow.edge_lp.max_concurrent_flow` solve.
+:func:`model_stats` exposes the counters.
 """
 
 from __future__ import annotations
@@ -45,7 +36,6 @@ from repro.flow.edge_lp import (
 from repro.flow.highs import linprog
 from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
-from repro.topology.mutation import DoubleEdgeSwap
 from repro.traffic.base import TrafficMatrix
 
 #: LP algorithm of a solve that starts from the previous basis. HiGHS
@@ -55,14 +45,12 @@ WARM_METHOD = "highs-ds"
 _STATS = {
     "built": 0,
     "solves": 0,
-    "swaps": 0,
     "demand_deltas": 0,
 }
 
 
 def model_stats() -> dict:
-    """Counters since the last reset: built / solves / swaps /
-    demand_deltas."""
+    """Counters since the last reset: built / solves / demand_deltas."""
     return dict(_STATS)
 
 
@@ -73,23 +61,21 @@ def reset_model_stats() -> None:
 
 
 class EdgeLPModel:
-    """A max-concurrent-flow LP's state, mutable under edge swaps and
-    demand deltas.
+    """A max-concurrent-flow LP's state, mutable under demand deltas.
 
     Parameters
     ----------
     topo:
-        Connected network whose structure seeds the model. The model
-        keeps its own arc bookkeeping; later swaps are applied through
-        :meth:`apply_swap`, not by mutating ``topo``.
+        Connected network. Its arcs are read once, when the model is
+        built.
     traffic:
         Demand matrix. Commodities are aggregated by source switch (the
         proven-equivalent compression of :mod:`repro.flow.edge_lp`).
     method:
-        HiGHS method (``highs``, ``highs-ds`` or ``highs-ipm``) of a solve
-        without a starting basis: the first solve, and the first after a
-        swap. A solve after a demand delta restarts :data:`WARM_METHOD`
-        from the previous basis whatever ``method`` is.
+        HiGHS method (``highs``, ``highs-ds`` or ``highs-ipm``) of the
+        first solve, which has no starting basis. Every later solve
+        restarts :data:`WARM_METHOD` from the previous basis whatever
+        ``method`` is.
     sources:
         ``None`` gives one commodity per demand source; ``"all"`` gives
         one per switch, so a later delta may add demand from any switch.
@@ -114,12 +100,10 @@ class EdgeLPModel:
         self.name = f"{topo.name}/{traffic.name}"
         # HiGHS basis of the last optimal solve; None forces a cold solve.
         self._basis = None
-        self.num_swaps = 0
-        self.num_solves = 0
         self.num_demand_deltas = 0
 
-        self._nodes = list(topo.switches)
-        self._node_index = {node: i for i, node in enumerate(self._nodes)}
+        nodes = list(topo.switches)
+        self._node_index = {node: i for i, node in enumerate(nodes)}
         commodities = _aggregate_by_source(traffic)
         if sources == "all":
             # One commodity per switch, demand or not: zero-demand
@@ -129,7 +113,7 @@ class EdgeLPModel:
             by_source = dict(commodities)
             commodities = [
                 (node, by_source.get(node, {}))
-                for node in sorted(self._nodes, key=repr)
+                for node in sorted(nodes, key=repr)
             ]
         # Copied: demand deltas edit the demand dicts in place.
         self._commodities = [
@@ -138,62 +122,16 @@ class EdgeLPModel:
         self._commodity_index = {
             source: k for k, (source, _) in enumerate(self._commodities)
         }
-        # Arc slots: slot j holds directed arc (tail[j], head[j]) with a
-        # capacity that never moves — swaps rewrite endpoints in place.
+        self._arc_pairs = [(u, v) for u, v, _ in arcs]
         self._arc_tail, self._arc_head, self._capacities = _arc_arrays(
             arcs, self._node_index
         )
-        self._arc_slot = {
-            (u, v): j for j, (u, v, _) in enumerate(arcs)
-        }
         self.total_demand = float(traffic.total_demand)
         _STATS["built"] += 1
-
-    def arcs(self) -> list:
-        """Current directed arcs ``(u, v, capacity)`` in slot order."""
-        return [
-            (self._nodes[int(t)], self._nodes[int(h)], float(c))
-            for t, h, c in zip(self._arc_tail, self._arc_head, self._capacities)
-        ]
 
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def apply_swap(self, swap: DoubleEdgeSwap) -> None:
-        """Rewire the model for ``swap`` in place.
-
-        Both directed arcs of each swapped link keep their slot: ``(a, b)``
-        becomes ``(a, d)``, ``(b, a)`` becomes ``(d, a)``, and
-        symmetrically for ``(c, d)``. Raises :class:`FlowError` when the
-        swap does not fit the current arc set (missing removed link or
-        already-present added link), leaving the model untouched.
-
-        The swap drops the kept basis, so the next solve is cold: after
-        4 arc slots move in every commodity, restarting simplex from it
-        is slower than a cold interior-point solve.
-        """
-        a, b, c, d = swap.a, swap.b, swap.c, swap.d
-        for u, v in swap.removed:
-            if (u, v) not in self._arc_slot:
-                raise FlowError(f"swap removes missing arc ({u!r}, {v!r})")
-        for u, v in swap.added:
-            if (u, v) in self._arc_slot:
-                raise FlowError(f"swap adds existing arc ({u!r}, {v!r})")
-        moves = (
-            ((a, b), (a, d)),
-            ((b, a), (d, a)),
-            ((c, d), (c, b)),
-            ((d, c), (b, c)),
-        )
-        for old, (tail, head) in moves:
-            j = self._arc_slot.pop(old)
-            self._arc_slot[tail, head] = j
-            self._arc_tail[j] = self._node_index[tail]
-            self._arc_head[j] = self._node_index[head]
-        self._basis = None
-        self.num_swaps += 1
-        _STATS["swaps"] += 1
-
     def apply_demand_delta(self, delta) -> None:
         """Fold a :class:`~repro.traffic.timeline.DemandDelta` in place.
 
@@ -266,7 +204,7 @@ class EdgeLPModel:
         """Full :class:`ThroughputResult` for the current instance."""
         return _extract(
             self._solution(),
-            [(u, v) for u, v, _ in self.arcs()],
+            self._arc_pairs,
             self._capacities,
             self._commodities,
             self.total_demand,
@@ -291,6 +229,5 @@ class EdgeLPModel:
                 f"HiGHS ({method}) failed on {self.name!r}: {outcome.message}"
             )
         self._basis = outcome.basis
-        self.num_solves += 1
         _STATS["solves"] += 1
         return outcome.x

@@ -154,28 +154,19 @@ class ThroughputObjective(Objective):
     search) or a picklable callable ``topology -> TrafficMatrix`` for
     workloads that must be rebuilt per candidate.
 
-    When the backend is the exact edge LP and the workload is concrete,
-    :meth:`attach` provides an incremental state built on
-    :class:`repro.flow.incremental.EdgeLPModel`: one model is built for
-    the whole search and rewired per candidate swap. A swap drops the
-    model's basis, so each candidate is still a cold solve by the same
-    method as a cold :func:`~repro.flow.edge_lp.max_concurrent_flow`;
-    the model saves only the topology copy and arc listing.
-    ``incremental=False`` opts out (every candidate then pays a cold
-    build and solve).
+    Every candidate is scored by a from-scratch solve. With the exact
+    edge LP that is the cold :func:`~repro.flow.edge_lp.max_concurrent_flow`
+    solve the paper scores topologies by.
     """
 
     def __init__(
         self,
         traffic: "TrafficMatrix | Callable[[Topology], TrafficMatrix]",
         solver: str = "edge-lp",
-        incremental: bool = True,
         **solver_kwargs,
     ) -> None:
         self._traffic = traffic
         self._evaluator = throughput_evaluator(solver, **solver_kwargs)
-        self._solver_kwargs = dict(solver_kwargs)
-        self._incremental = bool(incremental)
         self.name = f"throughput-{solver}"
 
     def evaluate(self, topo: Topology) -> float:
@@ -183,91 +174,6 @@ class ThroughputObjective(Objective):
             self._traffic(topo) if callable(self._traffic) else self._traffic
         )
         return self._evaluator(topo, traffic)
-
-    def attach(self, topo: Topology) -> "ObjectiveState | None":
-        if not self._incremental or callable(self._traffic):
-            return None
-        if self._evaluator.name != "edge_lp":
-            return None
-        # Options other than the LP algorithm change what the cold solver
-        # would compute (per-pair commodities, drop policies, ...); the
-        # incremental model only replicates the default formulation.
-        extras = {
-            key for key in self._solver_kwargs if key != "method"
-        }
-        if extras:
-            return None
-        from repro.flow.edge_lp import DEFAULT_METHOD
-
-        return _IncrementalLPState(
-            topo,
-            self._traffic,
-            method=self._solver_kwargs.get("method", DEFAULT_METHOD),
-        )
-
-
-class LPThroughputObjective(ThroughputObjective):
-    """The annealing-tuned exact-LP objective (always ``edge_lp``).
-
-    A named convenience for the common "polish topologies against the
-    exact LP" configuration: identical scores to
-    ``ThroughputObjective(traffic)``, with the incremental model-reuse
-    state guaranteed applicable.
-    """
-
-    def __init__(
-        self,
-        traffic: "TrafficMatrix | Callable[[Topology], TrafficMatrix]",
-        method: "str | None" = None,
-        incremental: bool = True,
-    ) -> None:
-        kwargs = {} if method is None else {"method": method}
-        super().__init__(
-            traffic, solver="edge_lp", incremental=incremental, **kwargs
-        )
-
-
-class _IncrementalLPState(ObjectiveState):
-    """Swap-adjacent LP evaluation on one reused :class:`EdgeLPModel`.
-
-    Keeps a private topology copy purely for connectivity checks, so a
-    disconnecting swap is rejected exactly like the stateless path
-    rejects it (the LP alone would only catch disconnections that
-    separate demand endpoints).
-    """
-
-    def __init__(self, topo: Topology, traffic, method: str) -> None:
-        from repro.flow.incremental import EdgeLPModel
-        from repro.topology.mutation import apply_double_edge_swap
-
-        self._apply = apply_double_edge_swap
-        self._model = EdgeLPModel(topo, traffic, method=method)
-        self._work = topo.copy()
-        self._score: "float | None" = None
-
-    def score(self) -> float:
-        if self._score is None:
-            self._score = self._model.solve()
-        return self._score
-
-    def evaluate(self, swap: DoubleEdgeSwap) -> "tuple[float, object] | None":
-        self._apply(self._work, swap)
-        connected = self._work.is_connected()
-        self._apply(self._work, swap.inverse())
-        if not connected:
-            return None
-        self._model.apply_swap(swap)
-        try:
-            value = self._model.solve()
-        finally:
-            self._model.apply_swap(swap.inverse())
-        return value, (swap, value)
-
-    def commit(self, token: object) -> None:
-        swap, value = token
-        self._model.apply_swap(swap)
-        self._apply(self._work, swap)
-        self._score = value
 
 
 _PROXY_OBJECTIVES: dict[str, Callable[..., Objective]] = {

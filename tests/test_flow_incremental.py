@@ -1,15 +1,14 @@
 """Differential and property tests for the reusable :class:`EdgeLPModel`.
 
-The incremental model replaces a cold
-:func:`~repro.flow.edge_lp.max_concurrent_flow` solve per annealing swap
-or replay step; its entire correctness contract is "after any sequence
-of ``apply_swap`` and ``apply_demand_delta`` calls, the model's optimum
-equals a cold solve of the mutated instance". The differential matrix
-here pins that at 1e-9 over random swap walks and delta streams. An
-unmutated model solves the very LP ``max_concurrent_flow`` does, so the
-two agree bit for bit. The property tests pin that swaps keep each
-capacity in its arc slot and track the mutated topology, and that a
-swap or delta followed by its inverse restores the model.
+Trace replay advances one model by demand deltas instead of solving
+every step cold; the model's correctness contract is "after any
+sequence of ``apply_demand_delta`` calls, its optimum equals a cold
+:func:`~repro.flow.edge_lp.max_concurrent_flow` solve of the edited
+instance". The tests here pin that at 1e-9 over VDC traces and drawn
+delta streams, warm restarts included. An unedited model solves the
+very LP ``max_concurrent_flow`` does, so the two agree bit for bit. The
+property tests pin that a delta followed by its inverse restores the LP
+and that a solve after a delta restarts from the kept basis.
 """
 
 from __future__ import annotations
@@ -28,11 +27,6 @@ from repro.flow.incremental import (
     model_stats,
     reset_model_stats,
 )
-from repro.topology.mutation import (
-    DoubleEdgeSwap,
-    apply_double_edge_swap,
-    double_edge_swap,
-)
 from repro.topology.fattree import fat_tree_topology
 from repro.topology.random_regular import random_regular_topology
 from repro.traffic.alltoall import all_to_all_traffic
@@ -47,56 +41,6 @@ def _instance(num_switches: int, degree: int = 4, seed: int = 0):
     )
     traffic = random_permutation_traffic(topo, seed=seed + 100)
     return topo, traffic
-
-
-class TestDifferentialMatrix:
-    """Mutated-model optima == cold solves, across sizes and swap walks."""
-
-    @pytest.mark.parametrize("num_switches", [8, 12, 16])
-    def test_swap_walk_matches_cold_solves(self, num_switches):
-        topo, traffic = _instance(num_switches, seed=num_switches)
-        model = EdgeLPModel(topo, traffic)
-        assert abs(
-            model.solve() - max_concurrent_flow(topo, traffic).throughput
-        ) <= TOL
-        rng = np.random.default_rng(num_switches * 7 + 1)
-        applied = 0
-        while applied < 6:
-            swap = double_edge_swap(topo, rng=rng)
-            if swap is None:
-                break
-            model.apply_swap(swap)
-            applied += 1
-            cold = max_concurrent_flow(topo, traffic).throughput
-            assert abs(model.solve() - cold) <= TOL, (
-                f"N={num_switches} swap #{applied}"
-            )
-        assert applied >= 3, "walk sampled too few valid swaps"
-
-    def test_revert_restores_original_optimum(self):
-        topo, traffic = _instance(12, seed=3)
-        model = EdgeLPModel(topo, traffic)
-        base = model.solve()
-        rng = np.random.default_rng(5)
-        swap = double_edge_swap(topo, rng=rng)
-        assert swap is not None
-        model.apply_swap(swap)
-        model.apply_swap(swap.inverse())
-        assert abs(model.solve() - base) <= TOL
-
-    def test_solve_result_matches_cold_result(self):
-        topo, traffic = _instance(12, seed=4)
-        model = EdgeLPModel(topo, traffic)
-        rng = np.random.default_rng(6)
-        swap = double_edge_swap(topo, rng=rng)
-        assert swap is not None
-        model.apply_swap(swap)
-        warm = model.solve_result()
-        cold = max_concurrent_flow(topo, traffic)
-        assert abs(warm.throughput - cold.throughput) <= TOL
-        assert warm.exact
-        assert set(warm.arc_capacities) == set(cold.arc_capacities)
-        assert warm.total_demand == cold.total_demand
 
 
 class TestSameLPAsColdSolver:
@@ -128,79 +72,6 @@ class TestSameLPAsColdSolver:
         topo = fat_tree_topology(4)
         traffic = random_permutation_traffic(topo, seed=7)
         self._assert_bit_identical(topo, traffic, method)
-
-
-class TestSwapMutation:
-    def test_apply_swap_rejects_missing_removed_arc(self):
-        topo, traffic = _instance(12, seed=1)
-        model = EdgeLPModel(topo, traffic)
-        nodes = topo.switches
-        absent = next(
-            (u, v)
-            for u in nodes
-            for v in nodes
-            if u != v and not topo.has_link(u, v)
-        )
-        swap = DoubleEdgeSwap(absent[0], absent[1], nodes[2], nodes[3])
-        before = model.arcs()
-        with pytest.raises(FlowError, match="removes missing arc"):
-            model.apply_swap(swap)
-        assert model.arcs() == before
-        assert model.num_swaps == 0
-
-    def test_apply_swap_rejects_existing_added_arc(self):
-        topo, traffic = _instance(12, seed=2)
-        model = EdgeLPModel(topo, traffic)
-        link1, link2 = topo.links[0], topo.links[1]
-        a, b = link1.u, link1.v
-        # Find a link (c, d) where (a, d) already exists.
-        candidate = None
-        for link in topo.links[1:]:
-            c, d = link.u, link.v
-            if len({a, b, c, d}) == 4 and topo.has_link(a, d):
-                candidate = (c, d)
-                break
-        if candidate is None:
-            pytest.skip("no collision-inducing swap in this instance")
-        swap = DoubleEdgeSwap(a, b, *candidate)
-        with pytest.raises(FlowError, match="adds existing arc"):
-            model.apply_swap(swap)
-
-
-@settings(max_examples=20, deadline=None)
-@given(seed=st.integers(0, 10_000), num_swaps=st.integers(1, 8))
-def test_structure_invariant_under_swaps(seed, num_swaps):
-    """Capacities never move between arc slots under swap walks."""
-    topo, traffic = _instance(10, seed=17)
-    model = EdgeLPModel(topo, traffic)
-    capacities = model._capacities.copy()
-    rng = np.random.default_rng(seed)
-    for _ in range(num_swaps):
-        swap = double_edge_swap(topo, rng=rng)
-        if swap is None:
-            break
-        model.apply_swap(swap)
-    assert np.array_equal(model._capacities, capacities)
-    # The model's arc set tracks the mutated topology exactly.
-    model_arcs = {(u, v) for u, v, _ in model.arcs()}
-    topo_arcs = {(u, v) for u, v, _ in topo.arcs()}
-    assert model_arcs == topo_arcs
-
-
-@settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_inverse_swap_restores_indices(seed):
-    topo, traffic = _instance(10, seed=23)
-    model = EdgeLPModel(topo, traffic)
-    arcs = model.arcs()
-    rng = np.random.default_rng(seed)
-    swap = double_edge_swap(topo, rng=rng)
-    if swap is None:
-        return
-    model.apply_swap(swap)
-    model.apply_swap(swap.inverse())
-    apply_double_edge_swap(topo, swap.inverse())
-    assert model.arcs() == arcs
 
 
 class TestDemandDeltas:
@@ -311,7 +182,7 @@ class TestDemandDeltas:
         reset_model_stats()
 
 
-class TestModelMemo:
+class TestModelBuild:
     def test_empty_traffic_rejected(self):
         topo, _ = _instance(8, seed=6)
         from repro.traffic.base import TrafficMatrix
@@ -439,7 +310,7 @@ def _delta_stream(data, topo):
 
 
 class TestWarmBasis:
-    """Solves after a delta restart from the kept basis; swaps drop it."""
+    """Solves after a delta restart from the kept basis."""
 
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
@@ -454,7 +325,7 @@ class TestWarmBasis:
             cold = max_concurrent_flow(topo, timeline.matrix_at(step))
             assert abs(model.solve() - cold.throughput) <= TOL, f"step {step}"
 
-    def test_delta_keeps_basis_and_swaps_drop_it(self, recorder):
+    def test_delta_keeps_basis(self, recorder):
         from repro.traffic.timeline import DemandDelta
 
         topo, traffic = _instance(10, seed=12)
@@ -466,34 +337,11 @@ class TestWarmBasis:
         model.solve()
         model.apply_demand_delta(first)
         model.solve()
-        swap = double_edge_swap(topo, rng=np.random.default_rng(3))
-        assert swap is not None
-        model.apply_swap(swap)
-        model.apply_swap(swap.inverse())
-        model.solve()
         model.apply_demand_delta(second)
-        model.solve()
-        model.apply_swap(swap)
         value = model.solve()
-        assert recorder.warm() == [False, True, True, False, True, False]
+        assert recorder.warm() == [False, True, True, True]
         # Re-solving an unchanged LP from its own optimal basis pivots
         # nothing, so the restart really starts from the basis.
         assert recorder.results[1].nit == 0
         cold = max_concurrent_flow(topo, second.apply(first.apply(traffic)))
         assert abs(value - cold.throughput) <= TOL
-
-    def test_annealing_never_reuses_a_basis(self, recorder):
-        from repro.search.annealing import CoolingSchedule, anneal
-        from repro.search.objectives import LPThroughputObjective
-
-        topo, traffic = _instance(10, seed=14)
-        anneal(
-            topo,
-            LPThroughputObjective(traffic),
-            steps=6,
-            seed=2,
-            schedule=CoolingSchedule(initial_temperature=0.05, final_temperature=0.001),
-        )
-        assert len(recorder.calls) >= 4
-        assert not any(recorder.warm())
-

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+import repro.search.annealing as annealing
 from repro.exceptions import ExperimentError
+from repro.flow.edge_lp import max_concurrent_flow
+from repro.flow.incremental import model_stats
 from repro.metrics.paths import average_shortest_path_length
 from repro.search.annealing import AnnealResult, CoolingSchedule, anneal
-from repro.search.objectives import ASPLObjective
+from repro.search.objectives import ASPLObjective, ThroughputObjective
+from repro.topology.base import Topology
+from repro.topology.mutation import DoubleEdgeSwap
 from repro.topology.random_regular import random_regular_topology
 from repro.topology.smallworld import small_world_topology
+from repro.traffic.base import TrafficMatrix
+from repro.traffic.permutation import random_permutation_traffic
 
 
 @pytest.fixture
@@ -109,3 +116,58 @@ class TestAnneal:
         assert result.improvement == pytest.approx(
             result.best_score - result.initial_score
         )
+
+
+class TestExactLPAnneal:
+    """Annealing against the exact edge LP scores every candidate by a
+    cold solve on the annealer's stateless path."""
+
+    SCHEDULE = CoolingSchedule(initial_temperature=0.05, final_temperature=0.001)
+
+    def test_best_score_is_a_cold_solve_and_no_model_is_built(self):
+        topo = random_regular_topology(14, 4, servers_per_switch=2, seed=3)
+        traffic = random_permutation_traffic(topo, seed=4)
+        built = model_stats()["built"]
+        result = anneal(
+            topo,
+            ThroughputObjective(traffic, solver="edge_lp"),
+            steps=6,
+            seed=2,
+            schedule=self.SCHEDULE,
+        )
+        optimized = result.topology
+        assert optimized.degree_histogram() == topo.degree_histogram()
+        assert optimized.server_map() == topo.server_map()
+        assert optimized.is_connected()
+        assert result.accepted + result.rejected >= 1
+        cold = max_concurrent_flow(optimized, traffic).throughput
+        assert abs(result.best_score - cold) <= 1e-9
+        assert model_stats()["built"] == built
+
+    def test_disconnecting_swap_counted_invalid(self, monkeypatch):
+        # Two squares joined by two bridges: swapping both bridges into
+        # same-side diagonals disconnects the graph.
+        topo = Topology(name="barbell")
+        for node in range(8):
+            topo.add_switch(node)
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 0),
+                     (4, 5), (5, 6), (6, 7), (7, 4)]:
+            topo.add_link(u, v)
+        topo.add_link(0, 4)
+        topo.add_link(2, 6)
+        traffic = TrafficMatrix(name="pair", demands={(1, 5): 1.0})
+        monkeypatch.setattr(
+            annealing,
+            "sample_double_edge_swap",
+            lambda topo, rng=None, max_tries=64: DoubleEdgeSwap(0, 4, 6, 2),
+        )
+        result = anneal(
+            topo,
+            ThroughputObjective(traffic, solver="edge_lp"),
+            steps=3,
+            seed=0,
+            schedule=self.SCHEDULE,
+        )
+        assert result.invalid == 3
+        assert result.topology.is_connected()
+        assert result.best_score == result.initial_score > 0.0

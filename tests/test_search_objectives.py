@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError, FlowError
@@ -17,7 +16,6 @@ from repro.metrics.spectral import algebraic_connectivity
 from repro.search.objectives import (
     ASPLObjective,
     BisectionObjective,
-    LPThroughputObjective,
     SpectralGapObjective,
     ThroughputObjective,
     make_objective,
@@ -134,83 +132,3 @@ class TestFactory:
     def test_unknown_objective_rejected(self):
         with pytest.raises(ExperimentError, match="unknown objective"):
             make_objective("world-peace")
-
-
-class TestIncrementalLPState:
-    """Eligibility and correctness of the model-reuse annealing state."""
-
-    def _traffic(self, topo):
-        return random_permutation_traffic(topo, seed=5)
-
-    def test_lp_objective_attaches_incremental_state(self, rrg):
-        objective = LPThroughputObjective(self._traffic(rrg))
-        state = objective.attach(rrg)
-        assert state is not None
-        assert state.score() == pytest.approx(objective.evaluate(rrg))
-
-    def test_incremental_false_opts_out(self, rrg):
-        objective = LPThroughputObjective(
-            self._traffic(rrg), incremental=False
-        )
-        assert objective.attach(rrg) is None
-
-    def test_traffic_factory_not_eligible(self, rrg):
-        objective = ThroughputObjective(
-            lambda topo: random_permutation_traffic(topo, seed=5)
-        )
-        assert objective.attach(rrg) is None
-        assert objective.evaluate(rrg) > 0.0
-
-    def test_non_edge_lp_solver_not_eligible(self, rrg):
-        objective = ThroughputObjective(self._traffic(rrg), solver="ecmp")
-        assert objective.attach(rrg) is None
-
-    def test_extra_solver_kwargs_not_eligible(self, rrg):
-        objective = ThroughputObjective(
-            self._traffic(rrg), aggregate_by_source=False
-        )
-        assert objective.attach(rrg) is None
-
-    def test_method_kwarg_stays_eligible(self, rrg):
-        objective = LPThroughputObjective(self._traffic(rrg), method="highs")
-        assert objective.attach(rrg) is not None
-
-    def test_evaluate_matches_cold_solve_and_reverts(self, rrg):
-        from repro.flow.edge_lp import max_concurrent_flow
-        from repro.topology.mutation import double_edge_swap
-
-        traffic = self._traffic(rrg)
-        state = LPThroughputObjective(traffic).attach(rrg)
-        base = state.score()
-        work = rrg.copy()
-        swap = double_edge_swap(work, rng=np.random.default_rng(3))
-        assert swap is not None
-        value, token = state.evaluate(swap)
-        assert value == pytest.approx(
-            max_concurrent_flow(work, traffic).throughput, abs=1e-9
-        )
-        # Un-committed evaluation leaves the state at the base instance.
-        assert state.score() == base
-        state.commit(token)
-        assert state.score() == value
-
-    def test_disconnecting_swap_rejected(self):
-        from repro.topology.base import Topology
-        from repro.topology.mutation import DoubleEdgeSwap
-        from repro.traffic.base import TrafficMatrix
-
-        # Two squares joined by two bridges: swapping both bridges into
-        # same-side diagonals disconnects the graph.
-        topo = Topology(name="barbell")
-        for node in range(8):
-            topo.add_switch(node)
-        for u, v in [(0, 1), (1, 2), (2, 3), (3, 0),
-                     (4, 5), (5, 6), (6, 7), (7, 4)]:
-            topo.add_link(u, v)
-        topo.add_link(0, 4)
-        topo.add_link(2, 6)
-        traffic = TrafficMatrix(name="pair", demands={(1, 5): 1.0})
-        state = LPThroughputObjective(traffic).attach(topo)
-        assert state is not None
-        assert state.evaluate(DoubleEdgeSwap(0, 4, 6, 2)) is None
-        assert state.score() > 0.0
