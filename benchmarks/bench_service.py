@@ -21,7 +21,7 @@ from conftest import append_record, run_once
 
 from repro.flow.solvers import SolverConfig
 from repro.pipeline.engine import run_grid
-from repro.pipeline.executors import ThreadExecutor
+from repro.pipeline.executors import ProcessExecutor
 from repro.pipeline.jobs import GridJob
 from repro.pipeline.scenario import ScenarioGrid, TopologySpec, TrafficSpec
 from repro.pipeline.scheduler import BULK, INTERACTIVE, GridScheduler
@@ -87,7 +87,7 @@ def test_interactive_preemption_delay(benchmark):
     reference = run_grid(QUERY_GRID)
 
     def preempted_query() -> dict:
-        executor = ThreadExecutor(workers=1)
+        executor = ProcessExecutor(workers=1)
         timings: dict = {}
         with GridScheduler(executor, max_in_flight=1) as scheduler:
             bulk = scheduler.submit(GridJob(BULK_GRID), priority=BULK)
@@ -103,7 +103,7 @@ def test_interactive_preemption_delay(benchmark):
             assert [c.throughput for c in cells] == [
                 c.throughput for c in reference.cells
             ]
-        executor.shutdown(wait=False)
+        executor.shutdown()
         return timings
 
     timings = run_once(benchmark, preempted_query)

@@ -23,20 +23,30 @@ BENCH_SCHEMA_VERSION = 1
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def _git_short_sha() -> str:
-    """The repo's HEAD short SHA, or ``"unknown"`` outside a checkout."""
+def _git(*args: str) -> "str | None":
+    """Stripped stdout of one git command in the repo, ``None`` on failure."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def _git_provenance() -> dict:
+    """``git_sha``: HEAD's short SHA (``"unknown"`` outside a checkout);
+    ``dirty``: set when ``src`` or ``benchmarks`` differ from HEAD, so the
+    record measured uncommitted changes on top of ``git_sha``."""
+    sha = _git("rev-parse", "--short", "HEAD")
+    provenance = {"git_sha": sha or "unknown"}
+    if _git("status", "--porcelain", "--", "src", "benchmarks"):
+        provenance["dirty"] = True
+    return provenance
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -64,7 +74,7 @@ def append_record(artifact: str, benchmark: str, **fields) -> None:
             "benchmark": benchmark,
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "python": platform.python_version(),
-            "git_sha": _git_short_sha(),
+            **_git_provenance(),
             **fields,
         }
     )

@@ -331,11 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="'interactive' (jumps queued bulk work) or 'bulk'",
     )
     submit.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable shared-instance batching (reference path)",
-    )
-    submit.add_argument(
         "--quiet", action="store_true", help="suppress per-cell progress"
     )
 
@@ -1071,12 +1066,7 @@ def _run_submit(args) -> int:
             )
 
     client = ServiceClient(args.socket)
-    done = client.submit(
-        grid_dict,
-        priority=args.priority,
-        batch=not args.no_batch,
-        on_event=on_event,
-    )
+    done = client.submit(grid_dict, priority=args.priority, on_event=on_event)
     counts = done.get("solve_counts", {})
     print(
         f"done in {done['elapsed_s']:.3f}s: "

@@ -40,7 +40,6 @@ from repro.pipeline.executors import (
     GridExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     executor_for_workers,
 )
 from repro.pipeline.fingerprint import (
@@ -86,7 +85,6 @@ __all__ = [
     "GridExecutor",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "executor_for_workers",
     "GridJob",
     "ItemState",

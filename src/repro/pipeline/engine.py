@@ -8,7 +8,8 @@ Two layers:
   ``REPRO_CACHE_DIR`` to give the whole experiment harness a warm cache
   without touching a single call site.
 - :func:`run_grid` — execute a :class:`~repro.pipeline.scenario.ScenarioGrid`
-  cell-by-cell, serially or across worker processes, returning a
+  in shared-instance batches, serially or across worker processes,
+  returning a
   :class:`SweepResult` that renders as a summary table and serializes to
   JSON/CSV artifacts.
 
@@ -19,8 +20,9 @@ shared-instance work items, a
 :mod:`~repro.pipeline.executors` backend, and the wrapper blocks until
 the job settles. The same job model backs the resumable ``sweep
 --manifest`` path (:func:`resume_grid`) and the :mod:`repro.service`
-daemon; this module keeps the cell evaluation primitives
-(:func:`evaluate_cell`, :func:`evaluate_batch`) those layers execute.
+daemon; this module keeps :func:`evaluate_batch`, which those layers
+execute for every work item, and :func:`evaluate_cell`, the one-cell
+reference it must match.
 
 Cells are independent, so parallelism is a straight fan-out; the shared
 cache is filesystem-backed and atomic, so workers coordinate only
@@ -178,6 +180,50 @@ class CellResult:
         "key",
     )
 
+    @classmethod
+    def of(
+        cls,
+        scenario,
+        result: ThroughputResult,
+        topo: Topology,
+        *,
+        key: str,
+        topology_fp: str,
+        traffic_fp: str,
+        cache_hit: bool,
+        elapsed_s: float,
+        replay_mode: "str | None" = None,
+    ) -> "CellResult":
+        """The cell record of ``result``, solved (or cache-read) on ``topo``.
+
+        The one place a cell's numbers are read off a solve, so grid
+        cells, batched cells and replay steps carry the same fields.
+        """
+        band = result.error_band
+        return cls(
+            scenario=scenario,
+            throughput=result.throughput,
+            engine=result.solver,
+            exact=result.exact,
+            total_demand=result.total_demand,
+            utilization=(
+                result.utilization if result.total_capacity > 0 else 0.0
+            ),
+            num_switches=topo.num_switches,
+            num_servers=topo.num_servers,
+            key=key,
+            topology_fp=topology_fp,
+            traffic_fp=traffic_fp,
+            cache_hit=cache_hit,
+            elapsed_s=elapsed_s,
+            dropped_pairs=result.num_dropped_pairs,
+            dropped_demand=result.dropped_demand,
+            is_estimate=result.is_estimate,
+            error_lo=band[0] if band is not None else None,
+            error_hi=band[1] if band is not None else None,
+            replay_mode=replay_mode,
+        )
+
     def row(self) -> dict:
         """Flat record for CSV/JSON artifacts."""
         s = self.scenario
@@ -216,11 +262,11 @@ def evaluate_cell(
     *effective* solver config (``unreachable="drop"`` defaulted in) —
     both the degraded links and the policy enter the cache key, so
     degraded and intact solves never collide.
-    """
-    if getattr(scenario, "is_replay_step", False):
-        from repro.pipeline.replay import evaluate_window
 
-        return evaluate_window([scenario], cache=cache)[0]
+    This is the one-cell reference that :func:`evaluate_batch` (the path
+    every work item takes) must match field for field, timing aside.
+    Replay steps go through :func:`~repro.pipeline.replay.evaluate_window`.
+    """
     start = time.perf_counter()
     topo, traffic = scenario.build()
     solver_config = scenario.effective_solver()
@@ -235,40 +281,16 @@ def evaluate_cell(
         key=key,
         meta={"scenario": scenario.to_dict()},
     )
-    utilization = (
-        result.utilization if result.total_capacity > 0 else 0.0
-    )
-    return CellResult(
-        scenario=scenario,
-        throughput=result.throughput,
-        engine=result.solver,
-        exact=result.exact,
-        total_demand=result.total_demand,
-        utilization=utilization,
-        num_switches=topo.num_switches,
-        num_servers=topo.num_servers,
+    return CellResult.of(
+        scenario,
+        result,
+        topo,
         key=key,
         topology_fp=topo_fp,
         traffic_fp=traffic_fp,
         cache_hit=cache_hit,
         elapsed_s=time.perf_counter() - start,
-        dropped_pairs=result.num_dropped_pairs,
-        dropped_demand=result.dropped_demand,
-        is_estimate=result.is_estimate,
-        error_lo=(
-            result.error_band[0] if result.error_band is not None else None
-        ),
-        error_hi=(
-            result.error_band[1] if result.error_band is not None else None
-        ),
     )
-
-
-def _evaluate_cell_task(args: "tuple[Scenario, str | None]") -> CellResult:
-    """Module-level worker entry (must be picklable for process pools)."""
-    scenario, cache_dir = args
-    cache = ResultCache(cache_dir) if cache_dir else None
-    return evaluate_cell(scenario, cache=cache)
 
 
 def _instance_key(scenario: Scenario) -> tuple:
@@ -385,55 +407,19 @@ def evaluate_batch(
                 key=key,
                 meta={"scenario": scenario.to_dict()},
             )
-            utilization = (
-                result.utilization if result.total_capacity > 0 else 0.0
-            )
             results.append(
-                CellResult(
-                    scenario=scenario,
-                    throughput=result.throughput,
-                    engine=result.solver,
-                    exact=result.exact,
-                    total_demand=result.total_demand,
-                    utilization=utilization,
-                    num_switches=topo.num_switches,
-                    num_servers=topo.num_servers,
+                CellResult.of(
+                    scenario,
+                    result,
+                    topo,
                     key=key,
                     topology_fp=topo_fp,
                     traffic_fp=traffic_fp,
                     cache_hit=cache_hit,
                     elapsed_s=shared_share + time.perf_counter() - start,
-                    dropped_pairs=result.num_dropped_pairs,
-                    dropped_demand=result.dropped_demand,
-                    is_estimate=result.is_estimate,
-                    error_lo=(
-                        result.error_band[0]
-                        if result.error_band is not None
-                        else None
-                    ),
-                    error_hi=(
-                        result.error_band[1]
-                        if result.error_band is not None
-                        else None
-                    ),
                 )
             )
     return results
-
-
-def _evaluate_batch_task(
-    args: "tuple[list[Scenario], str | None]",
-) -> "list[CellResult]":
-    """Module-level batch worker entry (picklable for process pools).
-
-    Shipping whole batches (instead of cells) to workers is what lets
-    construction sharing survive process boundaries: a worker holds the
-    batch's instance, artifact memo, and in-process cache memo for every
-    cell it solves.
-    """
-    scenarios, cache_dir = args
-    cache = ResultCache(cache_dir) if cache_dir else None
-    return evaluate_batch(scenarios, cache=cache)
 
 
 @dataclass
@@ -595,7 +581,6 @@ def run_grid(
     workers: int = 1,
     cache_dir: "str | None" = None,
     progress=None,
-    batch: bool = True,
     manifest: "str | None" = None,
     retry=None,
 ) -> SweepResult:
@@ -606,14 +591,13 @@ def run_grid(
     the shared content-addressed result cache. ``progress`` is an optional
     ``callable(done, total, cell_result)`` invoked as cells finish.
 
-    ``batch`` (default) groups cells that share a sampled instance —
-    same topology build, same workload; the grid's solver and failure
-    columns — and executes each group together
+    Cells that share a sampled instance — same topology build, same
+    workload; the grid's solver and failure columns — execute together
     (:func:`evaluate_batch`): the instance is built and fingerprinted
     once, estimator columns share their eigensolves and adjacency, and
     under ``workers > 1`` whole groups ship to one worker so the sharing
-    survives process boundaries. Solved numbers are identical either
-    way; ``batch=False`` forces the one-cell-at-a-time reference path.
+    survives process boundaries. Solved numbers are identical to
+    :func:`evaluate_cell`'s, cell by cell.
 
     ``manifest`` names a JSON run-manifest file rewritten after every
     item completion; an interrupted run resumes from it via
@@ -627,7 +611,7 @@ def run_grid(
     if workers < 1:
         raise ExperimentError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
-    job = GridJob(grid, batch=batch, cache_dir=cache_dir, manifest_path=manifest)
+    job = GridJob(grid, cache_dir=cache_dir, manifest_path=manifest)
     cells = _execute_job(job, workers=workers, progress=progress, retry=retry)
     return SweepResult(
         grid=grid,

@@ -1,18 +1,16 @@
-"""Sharded worker pools behind one executor protocol.
+"""Worker backends behind one executor protocol.
 
 The scheduler (:mod:`repro.pipeline.scheduler`) talks to every backend
 through :class:`GridExecutor`: submit one work item's scenarios, get a
-:class:`concurrent.futures.Future` of its cell results. Three
+:class:`concurrent.futures.Future` of its cell results. Every backend
+solves an item with :func:`~repro.pipeline.engine.evaluate_batch`. Two
 implementations ship today —
 
 - :class:`SerialExecutor` — runs items inline on the dispatcher thread.
-  Zero overhead, one in-process :class:`ResultCache` (memo shared across
-  the whole run), exactly the old ``run_grid(workers=1)`` behavior.
-- :class:`ThreadExecutor` — a thread pool sharing one in-process cache
-  (safe: the cache memo is lock-guarded). LP solves release the GIL in
-  scipy, and the service uses it for cache-dominated workloads without
-  paying process spawn.
-- :class:`ProcessExecutor` — the sharded process pool. Worker death
+  Zero overhead, one in-process :class:`ResultCache` per cache root
+  (memo shared across the whole run); ``run_grid(workers=1)`` uses it.
+- :class:`ProcessExecutor` — the sharded process pool behind
+  ``run_grid(workers>1)`` and the service daemon. Worker death
   (OOM kill, segfault, operator ``SIGKILL``) surfaces as
   :class:`~concurrent.futures.process.BrokenProcessPool` on in-flight
   futures; :meth:`ProcessExecutor.reset` swaps in a fresh pool and bumps
@@ -28,28 +26,22 @@ scheduler; executors only run things.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Protocol, runtime_checkable
 
 from repro.pipeline.cache import ResultCache
 
 
-def _evaluate_item_task(
-    args: "tuple[tuple, str | None, bool]",
-) -> list:
+def _evaluate_item_task(scenarios: tuple, cache_dir: "str | None") -> list:
     """Module-level worker entry (picklable): solve one item's scenarios.
 
-    ``batch=True`` routes through :func:`evaluate_batch` so the item's
-    cells share their built instance and artifact memo; ``batch=False``
-    is the one-cell-at-a-time reference path.
+    The item's cells share their built instance and artifact memo (see
+    :func:`~repro.pipeline.engine.evaluate_batch`).
     """
-    from repro.pipeline.engine import evaluate_batch, evaluate_cell
+    from repro.pipeline.engine import evaluate_batch
 
-    scenarios, cache_dir, batch = args
     cache = ResultCache(cache_dir) if cache_dir else None
-    if batch:
-        return evaluate_batch(list(scenarios), cache=cache)
-    return [evaluate_cell(scenario, cache=cache) for scenario in scenarios]
+    return evaluate_batch(list(scenarios), cache=cache)
 
 
 @runtime_checkable
@@ -62,9 +54,7 @@ class GridExecutor(Protocol):
     #: the pool is torn down and rebuilt.
     reset_on_timeout: bool
 
-    def submit(
-        self, scenarios, cache_dir: "str | None", batch: bool
-    ) -> Future:
+    def submit(self, scenarios, cache_dir: "str | None") -> Future:
         """Start one work item; the future resolves to its cell results."""
         ...
 
@@ -84,61 +74,36 @@ class GridExecutor(Protocol):
     def shutdown(self, wait: bool = True) -> None: ...
 
 
-class _InProcessCaches:
-    """One shared :class:`ResultCache` per cache root for a run's lifetime.
-
-    In-process executors reuse a single cache instance so the memo
-    accumulates across items — the behavior the old serial ``run_grid``
-    had, and the thing that makes warm in-process re-hits free.
-    """
-
-    def __init__(self) -> None:
-        self._caches: "dict[str, ResultCache]" = {}
-        self._lock = threading.Lock()
-
-    def get(self, cache_dir: "str | None") -> "ResultCache | None":
-        if not cache_dir:
-            return None
-        with self._lock:
-            cache = self._caches.get(cache_dir)
-            if cache is None:
-                cache = self._caches[cache_dir] = ResultCache(cache_dir)
-            return cache
-
-
-def _run_item_in_process(
-    caches: _InProcessCaches, scenarios, cache_dir, batch: bool
-) -> list:
-    from repro.pipeline.engine import evaluate_batch, evaluate_cell
-
-    cache = caches.get(cache_dir)
-    if batch:
-        return evaluate_batch(list(scenarios), cache=cache)
-    return [evaluate_cell(scenario, cache=cache) for scenario in scenarios]
-
-
 class SerialExecutor:
     """Inline execution on the calling (dispatcher) thread.
 
     The returned future is already resolved when :meth:`submit` returns,
     so timeouts cannot preempt an attempt — the scheduler documents the
     same. This is the reference backend: no pickling, no processes,
-    deterministic ordering.
+    deterministic ordering. One :class:`ResultCache` per cache root
+    lives as long as the executor, so its memo accumulates across items
+    and warm in-process re-hits are free; only the dispatcher thread
+    calls :meth:`submit`, so the caches need no lock.
     """
 
     workers = 1
     reset_on_timeout = False
 
     def __init__(self) -> None:
-        self._caches = _InProcessCaches()
+        self._caches: "dict[str, ResultCache]" = {}
 
-    def submit(self, scenarios, cache_dir, batch: bool) -> Future:
+    def submit(self, scenarios, cache_dir) -> Future:
+        from repro.pipeline.engine import evaluate_batch
+
         future: Future = Future()
         future.set_running_or_notify_cancel()
         try:
-            future.set_result(
-                _run_item_in_process(self._caches, scenarios, cache_dir, batch)
-            )
+            cache = None
+            if cache_dir:
+                cache = self._caches.get(cache_dir)
+                if cache is None:
+                    cache = self._caches[cache_dir] = ResultCache(cache_dir)
+            future.set_result(evaluate_batch(list(scenarios), cache=cache))
         except BaseException as exc:  # the future carries the outcome
             future.set_exception(exc)
         return future
@@ -155,37 +120,6 @@ class SerialExecutor:
 
     def shutdown(self, wait: bool = True) -> None:
         pass
-
-
-class ThreadExecutor:
-    """Thread-pool execution sharing one in-process cache per root."""
-
-    reset_on_timeout = False
-
-    def __init__(self, workers: int = 2) -> None:
-        self.workers = int(workers)
-        self._caches = _InProcessCaches()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="grid-exec"
-        )
-
-    def submit(self, scenarios, cache_dir, batch: bool) -> Future:
-        return self._pool.submit(
-            _run_item_in_process, self._caches, scenarios, cache_dir, batch
-        )
-
-    def reset(self) -> None:
-        pass
-
-    @property
-    def generation(self) -> int:
-        return 0
-
-    def worker_pids(self) -> "tuple[int, ...]":
-        return ()
-
-    def shutdown(self, wait: bool = True) -> None:
-        self._pool.shutdown(wait=wait, cancel_futures=not wait)
 
 
 class ProcessExecutor:
@@ -225,9 +159,9 @@ class ProcessExecutor:
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
             return self._pool
 
-    def submit(self, scenarios, cache_dir, batch: bool) -> Future:
+    def submit(self, scenarios, cache_dir) -> Future:
         return self._ensure_pool().submit(
-            _evaluate_item_task, (tuple(scenarios), cache_dir, batch)
+            _evaluate_item_task, tuple(scenarios), cache_dir
         )
 
     def reset(self) -> None:

@@ -36,7 +36,7 @@ import tempfile
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.exceptions import ExperimentError
 from repro.pipeline.scenario import Scenario, ScenarioGrid
@@ -123,27 +123,13 @@ class WorkItem:
 
 
 def _cell_payload(cell) -> dict:
-    """JSON-safe manifest record for one solved cell (scenario omitted:
-    it is reconstructed from the grid by index on resume)."""
+    """JSON-safe manifest record for one solved cell: every
+    :class:`~repro.pipeline.engine.CellResult` field but the scenario,
+    which resume rebuilds from the grid by index."""
     return {
-        "throughput": cell.throughput,
-        "engine": cell.engine,
-        "exact": cell.exact,
-        "total_demand": cell.total_demand,
-        "utilization": cell.utilization,
-        "num_switches": cell.num_switches,
-        "num_servers": cell.num_servers,
-        "key": cell.key,
-        "topology_fp": cell.topology_fp,
-        "traffic_fp": cell.traffic_fp,
-        "cache_hit": cell.cache_hit,
-        "elapsed_s": cell.elapsed_s,
-        "dropped_pairs": cell.dropped_pairs,
-        "dropped_demand": cell.dropped_demand,
-        "is_estimate": cell.is_estimate,
-        "error_lo": cell.error_lo,
-        "error_hi": cell.error_hi,
-        "replay_mode": cell.replay_mode,
+        f.name: getattr(cell, f.name)
+        for f in fields(cell)
+        if f.name != "scenario"
     }
 
 
@@ -164,13 +150,11 @@ class GridJob:
     def __init__(
         self,
         grid: ScenarioGrid,
-        batch: bool = True,
         cache_dir: "str | None" = None,
         manifest_path: "str | os.PathLike | None" = None,
         run_id: "str | None" = None,
     ) -> None:
         self.grid = grid
-        self.batch = bool(batch)
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.manifest_path = (
             str(manifest_path) if manifest_path is not None else None
@@ -199,14 +183,11 @@ class GridJob:
         Subclasses override to change the shard unit (the replay job
         windows consecutive timeline steps); the default is the
         shared-instance batching of :func:`~repro.pipeline.engine.
-        group_cells`, or one cell per item when ``batch`` is off.
+        group_cells`.
         """
         from repro.pipeline.engine import group_cells
 
-        if self.batch:
-            return [tuple(group) for group in group_cells(cells)]
-        # The reference path: one cell per item, grid order.
-        return [((index, cell),) for index, cell in enumerate(cells)]
+        return [tuple(group) for group in group_cells(cells)]
 
     @classmethod
     def _grid_from_manifest(cls, payload: dict):
@@ -388,7 +369,6 @@ class GridJob:
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "run_id": self.run_id,
             "grid": self.grid.to_dict(),
-            "batch": self.batch,
             "cache_dir": self.cache_dir,
             "created_at": self.created_at,
             "updated_at": time.time(),
@@ -455,7 +435,6 @@ class GridJob:
         grid = cls._grid_from_manifest(payload)
         job = cls(
             grid,
-            batch=bool(payload.get("batch", True)),
             cache_dir=(
                 payload.get("cache_dir") if cache_dir is True else cache_dir
             ),
@@ -469,8 +448,8 @@ class GridJob:
         if sorted(by_id) != [item.item_id for item in job.items]:
             raise ExperimentError(
                 f"manifest {manifest_path}: item set does not match the "
-                "grid's decomposition (was it written by a different "
-                "grid or batch mode?)"
+                "grid's decomposition (was it written for a different "
+                "grid, or with one cell per item?)"
             )
         cells = payload.get("cells", {})
         grid_cells = grid.cells()

@@ -145,7 +145,7 @@ class ReplayStep:
     plan: ReplayPlan
     step: int
 
-    #: Dispatch marker read by ``evaluate_cell`` / ``evaluate_batch``.
+    #: Dispatch marker read by ``evaluate_batch``.
     is_replay_step = True
 
     @property
@@ -325,30 +325,15 @@ def evaluate_window(steps: "list[ReplayStep]", cache=None) -> list:
             cache_hit = False
             if cache is not None:
                 cache.put(key, result, meta=scenario.to_dict())
-        utilization = (
-            result.utilization if result.total_capacity > 0 else 0.0
-        )
-        by_step[scenario.step] = CellResult(
-            scenario=scenario,
-            throughput=result.throughput,
-            engine=result.solver,
-            exact=result.exact,
-            total_demand=result.total_demand,
-            utilization=utilization,
-            num_switches=topo.num_switches,
-            num_servers=topo.num_servers,
+        by_step[scenario.step] = CellResult.of(
+            scenario,
+            result,
+            topo,
             key=key,
             topology_fp=topo_fp,
             traffic_fp=step_fps[scenario.step],
             cache_hit=cache_hit,
             elapsed_s=shared_share + time.perf_counter() - start,
-            is_estimate=result.is_estimate,
-            error_lo=(
-                result.error_band[0] if result.error_band is not None else None
-            ),
-            error_hi=(
-                result.error_band[1] if result.error_band is not None else None
-            ),
             replay_mode=mode,
         )
     return [by_step[scenario.step] for scenario in steps]

@@ -358,9 +358,7 @@ class GridScheduler:
                 )
             handle.job.mark_running(item)
             generation = self.executor.generation
-            future = self.executor.submit(
-                item.scenarios, handle.job.cache_dir, handle.job.batch
-            )
+            future = self.executor.submit(item.scenarios, handle.job.cache_dir)
             deadline = (
                 now + self.retry.timeout_s
                 if self.retry.timeout_s is not None

@@ -72,7 +72,6 @@ class ServiceClient:
         self,
         grid_dict: dict,
         priority: "str | int" = "bulk",
-        batch: bool = True,
         on_event=None,
     ) -> dict:
         """Submit a grid and stream it to completion.
@@ -90,7 +89,6 @@ class ServiceClient:
             "op": "submit",
             "grid": grid_dict,
             "priority": priority,
-            "batch": batch,
         }
         rows: "dict[int, dict]" = {}
         with self._connect() as sock:

@@ -8,7 +8,7 @@ submitted grid — that sharing is the point: an interactive query lands
 in the same queue as a running bulk sweep and outranks it.
 
 The **grid memo** answers repeat grids without scheduling anything. Two
-layers, keyed by a stable digest of ``(grid.to_dict(), batch)``:
+layers, keyed by a stable digest of ``grid.to_dict()``:
 
 - an in-process LRU of solved cell lists — a warm resubmit returns in
   microseconds, no queue, no workers (process pools spawn lazily, so a
@@ -45,7 +45,7 @@ GRID_MEMO_KIND = "grid_memo"
 GRID_MEMO_SIZE = 64
 
 
-def grid_digest(grid: ScenarioGrid, batch: bool = True) -> str:
+def grid_digest(grid: ScenarioGrid) -> str:
     """Stable content address of one grid execution request.
 
     Nonzero solver revisions join the digest, as they join
@@ -53,7 +53,8 @@ def grid_digest(grid: ScenarioGrid, batch: bool = True) -> str:
     memo still lists the result keys its first run wrote, and those stay
     on disk after a backend's revision bump, so the memo itself must miss.
     """
-    payload = {"kind": GRID_MEMO_KIND, "grid": grid.to_dict(), "batch": bool(batch)}
+    # "batch" stays so memos persisted by older daemons keep their addresses.
+    payload = {"kind": GRID_MEMO_KIND, "grid": grid.to_dict(), "batch": True}
     revisions = {}
     for config in grid.solvers:
         revision = get_solver(config.name).revision
@@ -106,14 +107,14 @@ class EvalService:
 
     # -- grid memo -----------------------------------------------------
 
-    def lookup_cached(self, grid: ScenarioGrid, batch: bool = True):
+    def lookup_cached(self, grid: ScenarioGrid):
         """Solved cells for this exact grid, or ``None``.
 
         Checks the in-process memo, then the persisted cache entry
         (validating every recorded result key still exists on disk).
         Returned cells are copies with ``cache_hit=True``.
         """
-        digest = grid_digest(grid, batch)
+        digest = grid_digest(grid)
         with self._lock:
             cells = self._memo.get(digest)
             if cells is not None:
@@ -158,11 +159,9 @@ class EvalService:
                 self._memo.popitem(last=False)
         return cells
 
-    def store_cached(
-        self, grid: ScenarioGrid, batch: bool, cells: list
-    ) -> None:
+    def store_cached(self, grid: ScenarioGrid, cells: list) -> None:
         """Record a completed grid's cells in both memo layers."""
-        digest = grid_digest(grid, batch)
+        digest = grid_digest(grid)
         with self._lock:
             self._memo[digest] = list(cells)
             self._memo.move_to_end(digest)
@@ -184,7 +183,6 @@ class EvalService:
         self,
         grid: ScenarioGrid,
         priority: "int | str" = BULK,
-        batch: bool = True,
         on_cell=None,
         on_done=None,
     ) -> "tuple[str, JobHandle | None, list | None]":
@@ -197,11 +195,11 @@ class EvalService:
         answer invokes neither (the caller already holds every cell).
         """
         priority = parse_priority(priority)
-        cached = self.lookup_cached(grid, batch)
+        cached = self.lookup_cached(grid)
         if cached is not None:
-            job_id = f"memo-{grid_digest(grid, batch)[:12]}"
+            job_id = f"memo-{grid_digest(grid)[:12]}"
             return job_id, None, cached
-        job = GridJob(grid, batch=batch, cache_dir=self.cache_dir)
+        job = GridJob(grid, cache_dir=self.cache_dir)
         self.submitted += 1
 
         def _memoize(handle: JobHandle) -> None:
@@ -209,7 +207,7 @@ class EvalService:
             # event is set, so judge success from the job itself.
             if not handle.job.cancelled and not handle.job.failed_items():
                 try:
-                    self.store_cached(grid, batch, handle.job.result_cells())
+                    self.store_cached(grid, handle.job.result_cells())
                 except ExperimentError:
                     pass  # incomplete (shouldn't happen at settlement)
             if on_done is not None:

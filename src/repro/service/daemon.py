@@ -22,7 +22,7 @@ Request ops::
     {"op": "ping"}
     {"op": "stats"}
     {"op": "submit", "grid": {...ScenarioGrid.to_dict...},
-     "priority": "interactive"|"bulk"|int, "batch": true}
+     "priority": "interactive"|"bulk"|int}
     {"op": "status", "job_id": "..."}
     {"op": "cancel", "job_id": "..."}
     {"op": "shutdown"}
@@ -189,7 +189,6 @@ class EvalDaemon:
         try:
             grid = ScenarioGrid.from_dict(request["grid"])
             priority = request.get("priority", "bulk")
-            batch = bool(request.get("batch", True))
         except Exception as exc:
             await _send(
                 writer, {"event": "error", "error": f"bad submit: {exc}"}
@@ -211,7 +210,6 @@ class EvalDaemon:
             job_id, handle, cached = self.service.submit(
                 grid,
                 priority=priority,
-                batch=batch,
                 on_cell=on_cell,
                 on_done=on_done,
             )

@@ -1,11 +1,10 @@
 """Batched grid execution: grouping, differential equality, workers.
 
-``run_grid(batch=True)`` (the default) builds each shared (topology,
-traffic) instance once per group and runs its solver/failure columns
-over one shared-artifact scope. The contract is strict: every
-:class:`CellResult` field except the timing must be identical to the
-per-cell reference path (``batch=False``), cold and warm, serial and
-parallel.
+``run_grid`` builds each shared (topology, traffic) instance once per
+group and runs its solver/failure columns over one shared-artifact
+scope. The contract is strict: every :class:`CellResult` field except
+the timing must be identical to the one-cell reference,
+:func:`evaluate_cell`, cold and warm, serial and parallel.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.flow.solvers import SolverConfig
+from repro.pipeline.cache import ResultCache
 from repro.pipeline.engine import (
     evaluate_batch,
     evaluate_cell,
@@ -103,23 +103,24 @@ class TestRunGridBatched:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batched_matches_reference_path(self, workers):
         grid = estimator_grid()
-        batched = run_grid(grid, workers=workers, batch=True).cells
-        reference = run_grid(grid, workers=1, batch=False).cells
+        batched = run_grid(grid, workers=workers).cells
+        reference = [evaluate_cell(scenario) for scenario in grid.cells()]
         assert len(batched) == len(reference)
         for fast, slow in zip(batched, reference):
             assert _strip_timing(fast) == _strip_timing(slow)
 
     def test_warm_cache_hits_every_cell(self, tmp_path):
         grid = estimator_grid()
-        run_grid(grid, cache_dir=tmp_path, batch=True)
-        warm = run_grid(grid, cache_dir=tmp_path, batch=True).cells
+        run_grid(grid, cache_dir=tmp_path)
+        warm = run_grid(grid, cache_dir=tmp_path).cells
         assert all(cell.cache_hit for cell in warm)
 
     def test_batched_warms_the_per_cell_path(self, tmp_path):
-        """Batch and reference paths share cache keys in both directions."""
+        """Batch and reference paths share cache keys."""
         grid = estimator_grid(sizes=(10,))
-        cold = run_grid(grid, cache_dir=tmp_path, batch=True).cells
-        warm = run_grid(grid, cache_dir=tmp_path, batch=False).cells
+        cold = run_grid(grid, cache_dir=tmp_path).cells
+        cache = ResultCache(tmp_path)
+        warm = [evaluate_cell(scenario, cache=cache) for scenario in grid.cells()]
         assert all(cell.cache_hit for cell in warm)
         for fast, slow in zip(cold, warm):
             assert fast.throughput == slow.throughput
@@ -129,7 +130,6 @@ class TestRunGridBatched:
         seen = []
         run_grid(
             grid,
-            batch=True,
             progress=lambda done, total, cell: seen.append(
                 (done, total, cell.scenario)
             ),

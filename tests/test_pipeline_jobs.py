@@ -16,6 +16,7 @@ from repro.pipeline.jobs import (
     RetryPolicy,
 )
 from repro.pipeline.scenario import ScenarioGrid, TopologySpec, TrafficSpec
+from repro.resilience import FailureSpec
 
 
 def small_grid(**overrides) -> ScenarioGrid:
@@ -43,12 +44,6 @@ class TestDecomposition:
             tuple(i for i, _ in group) for group in groups
         ]
         assert all(item.state == ItemState.PENDING for item in job.items)
-
-    def test_unbatched_items_are_single_cells(self):
-        grid = small_grid()
-        job = GridJob(grid, batch=False)
-        assert len(job.items) == len(grid)
-        assert all(len(item.indices) == 1 for item in job.items)
 
     def test_counts_histogram(self):
         job = GridJob(small_grid())
@@ -184,8 +179,42 @@ class TestManifest:
         manifest = tmp_path / "run.json"
         run_grid(small_grid(sizes=(8,), seeds=1), manifest=str(manifest))
         payload = json.loads(manifest.read_text())
-        # The same grid decomposed without batching has different items.
+        # The items an older one-cell-per-item run of the same grid wrote.
         payload["batch"] = False
+        payload["items"] = [
+            {
+                "item_id": index,
+                "indices": [index],
+                "state": ItemState.DONE,
+                "attempts": 1,
+                "error": None,
+            }
+            for index in range(len(payload["cells"]))
+        ]
+        assert len(payload["items"]) == 2
         manifest.write_text(json.dumps(payload))
         with pytest.raises(ExperimentError, match="decomposition"):
             GridJob.resume(manifest)
+
+    def test_resume_restores_every_cell_field(self, tmp_path):
+        """The manifest round trip is field-exact, timing included."""
+        grid = small_grid(
+            solvers=(
+                SolverConfig("edge_lp"),
+                SolverConfig.make("estimate_bound", error_band=(0.9, 1.0)),
+            ),
+            sizes=(10,),
+            seeds=1,
+            failures=(None, FailureSpec("random_switches", 0.3)),
+        )
+        manifest = tmp_path / "run.json"
+        sweep = run_grid(grid, manifest=str(manifest))
+        restored = GridJob.resume(manifest).result_cells()
+        assert restored == sweep.cells
+        # Not just defaults: the failure column drops pairs, and the
+        # estimator carries an error band.
+        assert any(cell.dropped_pairs > 0 for cell in restored)
+        assert any(cell.dropped_demand > 0 for cell in restored)
+        assert any(cell.is_estimate for cell in restored)
+        assert any(cell.error_lo is not None for cell in restored)
+        assert any(cell.error_hi is not None for cell in restored)

@@ -226,6 +226,50 @@ class TestResultSurface:
         assert retained[0] == pytest.approx(1.0)
         assert len(retained) == 5
 
+    @pytest.mark.parametrize("solver", ["edge_lp", "ecmp"])
+    def test_cells_report_dropped_pairs(self, solver, tmp_path):
+        """On a partitioned fabric under ``unreachable="drop"``, each step's
+        cell carries the pairs and demand its solve dropped, solved or
+        read back from the cache."""
+        spec = TopologySpec.make(
+            "two-cluster",
+            num_large=4,
+            large_network_ports=3,
+            num_small=4,
+            small_network_ports=3,
+            servers_per_large=2,
+            servers_per_small=2,
+            cross_fraction=0.0,
+        )
+        topo = spec.build(seed=1)
+        timeline = vdc_timeline(
+            topo,
+            seed=1,
+            steps=3,
+            arrival_rate=2.0,
+            mean_vms=5.0,
+            mean_duration=12.0,
+        )
+        config = SolverConfig.make(solver, unreachable="drop")
+        plan = ReplayPlan(
+            name="test-replay-drop",
+            topology=spec,
+            timeline=timeline,
+            solver=config,
+            seed=1,
+        )
+        direct = [config.solve(topo, matrix) for matrix in timeline.matrices()]
+        solved = evaluate_window(plan.cells())
+        evaluate_window(plan.cells(), cache=ResultCache(tmp_path))
+        cached = evaluate_window(plan.cells(), cache=ResultCache(tmp_path))
+        assert {cell.replay_mode for cell in solved} == {"fallback"}
+        assert {cell.replay_mode for cell in cached} == {"cache"}
+        for cells in (solved, cached):
+            assert len(cells) == len(direct) == 3
+            for cell, result in zip(cells, direct):
+                assert cell.dropped_pairs == result.num_dropped_pairs > 0
+                assert cell.dropped_demand == result.dropped_demand > 0
+
 
 class TestCli:
     def test_replay_command_cold_then_warm(self, tmp_path, capsys):

@@ -14,7 +14,7 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.flow.solvers import SolverConfig
 from repro.pipeline.engine import resume_grid, run_grid
-from repro.pipeline.executors import SerialExecutor, ThreadExecutor
+from repro.pipeline.executors import ProcessExecutor, SerialExecutor
 from repro.pipeline.jobs import GridJob, ItemState, RetryPolicy
 from repro.pipeline.scenario import ScenarioGrid, TopologySpec, TrafficSpec
 from repro.pipeline.scheduler import (
@@ -67,7 +67,7 @@ class ManualExecutor:
         self.resets = 0
         self._lock = threading.Lock()
 
-    def submit(self, scenarios, cache_dir, batch) -> Future:
+    def submit(self, scenarios, cache_dir) -> Future:
         future: Future = Future()
         if self.running:
             future.set_running_or_notify_cancel()
@@ -98,7 +98,7 @@ class DyingExecutor(SerialExecutor):
         self.casualties = casualties
         self.resets = 0
 
-    def submit(self, scenarios, cache_dir, batch) -> Future:
+    def submit(self, scenarios, cache_dir) -> Future:
         if self.casualties > 0:
             self.casualties -= 1
             future: Future = Future()
@@ -107,7 +107,7 @@ class DyingExecutor(SerialExecutor):
                 BrokenProcessPool("worker killed mid-cell (simulated)")
             )
             return future
-        return super().submit(scenarios, cache_dir, batch)
+        return super().submit(scenarios, cache_dir)
 
     def reset(self) -> None:
         self.resets += 1
@@ -133,10 +133,14 @@ class TestRunJob:
         ]
         assert strip(cells) == strip(reference.cells)
 
-    def test_thread_executor_matches(self):
+    def test_process_executor_matches(self):
         grid = small_grid()
         reference = run_grid(grid)
-        cells = run_job(GridJob(grid), executor=ThreadExecutor(workers=2))
+        executor = ProcessExecutor(workers=2)
+        try:
+            cells = run_job(GridJob(grid), executor=executor)
+        finally:
+            executor.shutdown()
         assert [c.throughput for c in cells] == [
             c.throughput for c in reference.cells
         ]

@@ -33,11 +33,8 @@ def small_grid(**overrides) -> ScenarioGrid:
 
 
 class TestGridMemo:
-    def test_digest_is_stable_and_batch_sensitive(self):
+    def test_digest_is_stable_and_grid_sensitive(self):
         assert grid_digest(small_grid()) == grid_digest(small_grid())
-        assert grid_digest(small_grid()) != grid_digest(
-            small_grid(), batch=False
-        )
         assert grid_digest(small_grid()) != grid_digest(
             small_grid(name="other")
         )
