@@ -5,7 +5,8 @@ where the solve dominates topology construction):
 
 - Re-running an identical sweep against a warm content-addressed cache is
   >= 10x faster than the cold run (in practice it is orders of magnitude:
-  a cache hit costs a build + fingerprint + JSON read, not an LP solve).
+  a cache hit costs an instance-index read plus a result read, not a
+  build or an LP solve).
 - A multi-worker cold sweep beats the single-worker wall-clock. Cells are
   independent, so the speedup is bounded only by cores and pool startup;
   the assertion is skipped on single-core machines where no parallel

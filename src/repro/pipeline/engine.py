@@ -22,7 +22,9 @@ the job settles. The same job model backs the resumable ``sweep
 --manifest`` path (:func:`resume_grid`) and the :mod:`repro.service`
 daemon; this module keeps :func:`evaluate_batch`, which those layers
 execute for every work item, and :func:`evaluate_cell`, the one-cell
-reference it must match.
+reference it must match. With a cache, a work item is first read from
+the cache's instance index (:func:`indexed_cells`), so re-running a
+solved grid builds no topology at all.
 
 Cells are independent, so parallelism is a straight fan-out; the shared
 cache is filesystem-backed and atomic, so workers coordinate only
@@ -32,10 +34,16 @@ through content-addressed files.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 from statistics import fmean, pstdev
+
+import networkx
+import numpy
+import scipy
 
 from repro.exceptions import ExperimentError
 from repro.flow.result import ThroughputResult
@@ -49,7 +57,10 @@ from repro.pipeline.fingerprint import (
 )
 from repro.pipeline.scenario import Scenario, ScenarioGrid
 from repro.topology.base import Topology
+from repro.topology.registry import topology_factory
 from repro.traffic.base import TrafficMatrix
+from repro.traffic.registry import traffic_model_builder
+from repro.util.hashing import stable_digest
 from repro.util.tables import format_table
 
 
@@ -114,6 +125,49 @@ def evaluate_throughput(
         return solve_throughput(topo, traffic, solver, **options)
     result, _ = cached_solve(topo, traffic, SolverConfig.make(solver, **options), cache)
     return result
+
+
+@dataclass(frozen=True)
+class InstanceRecord:
+    """What a cell reads off its built (possibly degraded) instance.
+
+    It is also the payload of the instance's index entry (see
+    :func:`indexed_cells`), so cells read from the index and cells built
+    from scratch come out of one constructor, :meth:`CellResult.of`.
+    """
+
+    topology_fp: str
+    traffic_fp: str
+    num_switches: int
+    num_servers: int
+
+    @classmethod
+    def of(cls, topo: Topology, traffic_fp: str) -> "InstanceRecord":
+        return cls(
+            topology_fp=topology_fingerprint(topo),
+            traffic_fp=traffic_fp,
+            num_switches=topo.num_switches,
+            num_servers=topo.num_servers,
+        )
+
+    @classmethod
+    def from_payload(cls, payload: "dict | None") -> "InstanceRecord | None":
+        """The record an index entry holds, or ``None`` for a missing,
+        malformed or incomplete payload (read as an index miss)."""
+        if payload is None:
+            return None
+        try:
+            record = cls(**payload)
+        except TypeError:
+            return None
+        if not (
+            isinstance(record.topology_fp, str)
+            and isinstance(record.traffic_fp, str)
+            and type(record.num_switches) is int
+            and type(record.num_servers) is int
+        ):
+            return None
+        return record
 
 
 @dataclass(frozen=True)
@@ -185,19 +239,19 @@ class CellResult:
         cls,
         scenario,
         result: ThroughputResult,
-        topo: Topology,
+        instance: "InstanceRecord",
         *,
         key: str,
-        topology_fp: str,
-        traffic_fp: str,
         cache_hit: bool,
         elapsed_s: float,
         replay_mode: "str | None" = None,
     ) -> "CellResult":
-        """The cell record of ``result``, solved (or cache-read) on ``topo``.
+        """The cell record of ``result``, solved (or cache-read) on
+        ``instance``.
 
         The one place a cell's numbers are read off a solve, so grid
-        cells, batched cells and replay steps carry the same fields.
+        cells (built or read from the instance index) and replay steps
+        carry the same fields.
         """
         band = result.error_band
         return cls(
@@ -209,11 +263,11 @@ class CellResult:
             utilization=(
                 result.utilization if result.total_capacity > 0 else 0.0
             ),
-            num_switches=topo.num_switches,
-            num_servers=topo.num_servers,
+            num_switches=instance.num_switches,
+            num_servers=instance.num_servers,
             key=key,
-            topology_fp=topology_fp,
-            traffic_fp=traffic_fp,
+            topology_fp=instance.topology_fp,
+            traffic_fp=instance.traffic_fp,
             cache_hit=cache_hit,
             elapsed_s=elapsed_s,
             dropped_pairs=result.num_dropped_pairs,
@@ -270,9 +324,12 @@ def evaluate_cell(
     start = time.perf_counter()
     topo, traffic = scenario.build()
     solver_config = scenario.effective_solver()
-    topo_fp = topology_fingerprint(topo)
-    traffic_fp = traffic_fingerprint(traffic)
-    key = result_key(topo_fp, traffic_fp, solver_fingerprint(solver_config))
+    instance = InstanceRecord.of(topo, traffic_fingerprint(traffic))
+    key = result_key(
+        instance.topology_fp,
+        instance.traffic_fp,
+        solver_fingerprint(solver_config),
+    )
     result, cache_hit = cached_solve(
         topo,
         traffic,
@@ -284,10 +341,8 @@ def evaluate_cell(
     return CellResult.of(
         scenario,
         result,
-        topo,
+        instance,
         key=key,
-        topology_fp=topo_fp,
-        traffic_fp=traffic_fp,
         cache_hit=cache_hit,
         elapsed_s=time.perf_counter() - start,
     )
@@ -325,6 +380,136 @@ def group_cells(cells: "list[Scenario]") -> "list[list[tuple[int, Scenario]]]":
     return list(groups.values())
 
 
+#: Kind tag of instance-index entries in the result cache.
+INSTANCE_KIND = "instance"
+
+
+def _source_digest(root: Path) -> str:
+    """SHA-256 over the ``.py`` files under ``root``, path and bytes each."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(root).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+#: Everything besides an instance's specs that decides what it builds:
+#: the package's code (builders, failure models, seeding, fingerprints;
+#: any edit misses the whole index, so nothing needs versioning by hand)
+#: and the numeric libraries' versions. Computed at import, so a
+#: long-running process keys its entries by the code it runs.
+_BUILD_TABLE = {
+    "source": _source_digest(Path(__file__).resolve().parent.parent),
+    "numpy": numpy.__version__,
+    "scipy": scipy.__version__,
+    "networkx": networkx.__version__,
+}
+
+
+def _in_package(builder) -> bool:
+    """Whether ``builder``'s code is in :data:`_BUILD_TABLE`'s digest."""
+    return (getattr(builder, "__module__", None) or "").startswith("repro.")
+
+
+def _failure_column(scenario: Scenario):
+    """The failure spec a cell degrades its instance by (``None`` intact)."""
+    failure = scenario.failure
+    if failure is not None and failure.is_null():
+        return None
+    return failure
+
+
+def _index_keys(scenarios: "list[Scenario]") -> "dict | None":
+    """Index key of each distinct instance of one shared-instance batch,
+    by failure column (``None`` = intact).
+
+    ``None`` when the batch's topology kind or traffic model is
+    registered from outside the package: the source digest cannot see
+    that code, so such batches are never indexed and always build.
+    """
+    first = scenarios[0]
+    if not (
+        _in_package(topology_factory(first.topology.kind))
+        and _in_package(traffic_model_builder(first.traffic.model))
+    ):
+        return None
+    base = {
+        "kind": INSTANCE_KIND,
+        "seed": first.seed,
+        "topology": first.topology.to_dict(),
+        "size": first.size,
+        "size_param": first.size_param,
+        "traffic": first.traffic.to_dict(),
+        "build": _BUILD_TABLE,
+    }
+    keys = {}
+    for scenario in scenarios:
+        failure = _failure_column(scenario)
+        if failure not in keys:
+            keys[failure] = stable_digest(
+                {
+                    **base,
+                    "failure": (
+                        failure.to_dict() if failure is not None else None
+                    ),
+                }
+            )
+    return keys
+
+
+def indexed_cells(
+    scenarios: "list[Scenario]", cache: "ResultCache | None"
+) -> "list[CellResult] | None":
+    """A shared-instance batch's cells read from the instance index alone.
+
+    :func:`evaluate_batch` writes one index entry per instance it builds,
+    keyed by the instance's specs (cell seed, topology, size,
+    ``size_param``, traffic, failure) plus :data:`_BUILD_TABLE`, holding
+    an :class:`InstanceRecord`. When every instance of the batch has a
+    well-formed entry and every result key derived from them is cached,
+    this returns the batch's cells without building, degrading or
+    fingerprinting anything. Otherwise it returns ``None`` (all or
+    nothing), and the caller builds the batch.
+    """
+    keys = _index_keys(scenarios) if cache is not None else None
+    if keys is None:
+        return None
+    records: dict = {}
+    cells: "list[CellResult]" = []
+    for scenario in scenarios:
+        start = time.perf_counter()
+        failure = _failure_column(scenario)
+        record = records.get(failure)
+        if record is None:
+            record = InstanceRecord.from_payload(
+                cache.get_payload(keys[failure], INSTANCE_KIND)
+            )
+            if record is None:
+                return None
+            records[failure] = record
+        key = result_key(
+            record.topology_fp,
+            record.traffic_fp,
+            solver_fingerprint(scenario.effective_solver()),
+        )
+        result = cache.get(key)
+        if result is None:
+            return None
+        cells.append(
+            CellResult.of(
+                scenario,
+                result,
+                record,
+                key=key,
+                cache_hit=True,
+                elapsed_s=time.perf_counter() - start,
+            )
+        )
+    return cells
+
+
 def evaluate_batch(
     scenarios: "list[Scenario]", cache: "ResultCache | None" = None
 ) -> "list[CellResult]":
@@ -332,9 +517,11 @@ def evaluate_batch(
 
     All scenarios must share an instance key (equal seeds and topology /
     traffic / size coordinates — :func:`group_cells` produces such
-    batches). The intact topology and workload are built once; each
-    distinct failure spec degrades (and fingerprints) its topology once;
-    every solve runs inside one
+    batches). With a cache, the batch is first answered from the
+    instance index (:func:`indexed_cells`); on any miss, the intact
+    topology and workload are built once, each distinct failure spec
+    degrades (and fingerprints) its topology once, and each instance's
+    index entry is (re)written. Every solve runs inside one
     :func:`repro.estimate.batch.shared_artifacts` scope, so estimator
     columns share the CSR adjacency and the Fiedler eigensolve.
 
@@ -351,7 +538,8 @@ def evaluate_batch(
     first = scenarios[0]
     if getattr(first, "is_replay_step", False):
         # Replay windows ride the same work-item plumbing; their steps
-        # solve sequentially with warm starts instead of instance sharing.
+        # solve sequentially with warm starts instead of instance sharing,
+        # and are cached under their own chained step keys.
         from repro.pipeline.replay import evaluate_window
 
         return evaluate_window(list(scenarios), cache=cache)
@@ -362,6 +550,9 @@ def evaluate_batch(
                 "evaluate_batch needs cells sharing one sampled instance; "
                 f"{scenario.label()!r} differs from {first.label()!r}"
             )
+    cells = indexed_cells(scenarios, cache)
+    if cells is not None:
+        return cells
     shared_start = time.perf_counter()
     topo_ss, traffic_ss = first.instance_seeds()
     intact = first.topology.build(
@@ -369,13 +560,12 @@ def evaluate_batch(
     )
     traffic = first.traffic.build(intact, seed=traffic_ss)
     traffic_fp = traffic_fingerprint(traffic)
-    # One degraded topology + fingerprint per distinct failure column
+    index_keys = _index_keys(scenarios) if cache is not None else None
+    # One degraded topology + instance record per distinct failure column
     # (None = intact). FailureSpec is frozen/hashable, like the specs.
     instances: dict = {}
     for scenario in scenarios:
-        failure = scenario.failure
-        if failure is not None and failure.is_null():
-            failure = None
+        failure = _failure_column(scenario)
         if failure in instances:
             continue
         if failure is None:
@@ -384,20 +574,22 @@ def evaluate_batch(
             topo = apply_failures(
                 intact, failure, seed=failure_seed(first.seed, failure)
             )
-        instances[failure] = (topo, topology_fingerprint(topo))
+        record = InstanceRecord.of(topo, traffic_fp)
+        if index_keys is not None:
+            cache.put_payload(index_keys[failure], INSTANCE_KIND, asdict(record))
+        instances[failure] = (topo, record)
     shared_share = (time.perf_counter() - shared_start) / len(scenarios)
 
     results: "list[CellResult]" = []
     with shared_artifacts():
         for scenario in scenarios:
             start = time.perf_counter()
-            failure = scenario.failure
-            if failure is not None and failure.is_null():
-                failure = None
-            topo, topo_fp = instances[failure]
+            topo, record = instances[_failure_column(scenario)]
             solver_config = scenario.effective_solver()
             key = result_key(
-                topo_fp, traffic_fp, solver_fingerprint(solver_config)
+                record.topology_fp,
+                record.traffic_fp,
+                solver_fingerprint(solver_config),
             )
             result, cache_hit = cached_solve(
                 topo,
@@ -411,10 +603,8 @@ def evaluate_batch(
                 CellResult.of(
                     scenario,
                     result,
-                    topo,
+                    record,
                     key=key,
-                    topology_fp=topo_fp,
-                    traffic_fp=traffic_fp,
                     cache_hit=cache_hit,
                     elapsed_s=shared_share + time.perf_counter() - start,
                 )
@@ -594,7 +784,8 @@ def run_grid(
     Cells that share a sampled instance — same topology build, same
     workload; the grid's solver and failure columns — execute together
     (:func:`evaluate_batch`): the instance is built and fingerprinted
-    once, estimator columns share their eigensolves and adjacency, and
+    once (or, on a rerun, read from the cache's instance index without
+    being built), estimator columns share their eigensolves and adjacency, and
     under ``workers > 1`` whole groups ship to one worker so the sharing
     survives process boundaries. Solved numbers are identical to
     :func:`evaluate_cell`'s, cell by cell.

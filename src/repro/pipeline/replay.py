@@ -294,7 +294,7 @@ def evaluate_window(steps: "list[ReplayStep]", cache=None) -> list:
     state advances lazily to the next miss. Results return in input
     order, one :class:`~repro.pipeline.engine.CellResult` per step.
     """
-    from repro.pipeline.engine import CellResult
+    from repro.pipeline.engine import CellResult, InstanceRecord
 
     if not steps:
         return []
@@ -328,10 +328,13 @@ def evaluate_window(steps: "list[ReplayStep]", cache=None) -> list:
         by_step[scenario.step] = CellResult.of(
             scenario,
             result,
-            topo,
+            InstanceRecord(
+                topo_fp,
+                step_fps[scenario.step],
+                topo.num_switches,
+                topo.num_servers,
+            ),
             key=key,
-            topology_fp=topo_fp,
-            traffic_fp=step_fps[scenario.step],
             cache_hit=cache_hit,
             elapsed_s=shared_share + time.perf_counter() - start,
             replay_mode=mode,

@@ -5,7 +5,8 @@ The pipeline's job model (:mod:`repro.pipeline.jobs`,
 service front-end on it:
 
 - :class:`EvalService` — the embeddable core: one scheduler + executor,
-  a grid-digest memo answering fully-cached grids without touching a
+  an in-process grid-digest memo (behind it, the result cache's
+  instance index) answering fully-cached grids without touching a
   worker, and job bookkeeping by id.
 - :class:`EvalDaemon` — the ``repro-experiments serve`` asyncio server:
   JSON-lines requests over a local unix socket (streaming one event per

@@ -7,16 +7,17 @@ in-process. It owns one executor and one
 submitted grid — that sharing is the point: an interactive query lands
 in the same queue as a running bulk sweep and outranks it.
 
-The **grid memo** answers repeat grids without scheduling anything. Two
-layers, keyed by a stable digest of ``grid.to_dict()``:
+Repeat grids are answered without scheduling anything, from:
 
-- an in-process LRU of solved cell lists — a warm resubmit returns in
-  microseconds, no queue, no workers (process pools spawn lazily, so a
-  memo-served daemon never forks at all);
-- a ``ResultCache`` payload entry recording the cells *and their result
-  keys* — on a daemon restart the memo re-validates each key against
-  the content-addressed store (cheap file checks) before trusting it,
-  so a pruned cache can never resurrect stale answers.
+- an in-process LRU of solved cell lists, keyed by :func:`grid_digest`
+  — a warm resubmit returns in microseconds, no queue, no workers
+  (process pools spawn lazily, so a memo-served daemon never forks);
+- failing that, with a cache dir, the result cache's instance index
+  (:func:`~repro.pipeline.engine.indexed_cells`, the same lookup every
+  grid run makes first) — so a restarted daemon answers a solved grid
+  without rebuilding a topology; the index is keyed by a digest of the
+  package source, so it never serves an instance the current code
+  would no longer build.
 
 Memo-served cells are marked ``cache_hit=True`` whatever their first
 run recorded: to the caller they are cache answers.
@@ -32,13 +33,14 @@ from dataclasses import replace
 from repro.exceptions import ExperimentError
 from repro.flow.solvers import get_solver
 from repro.pipeline.cache import ResultCache
+from repro.pipeline.engine import group_cells, indexed_cells
 from repro.pipeline.executors import executor_for_workers
-from repro.pipeline.jobs import GridJob, _cell_from_payload, _cell_payload
+from repro.pipeline.jobs import GridJob
 from repro.pipeline.scenario import ScenarioGrid
 from repro.pipeline.scheduler import BULK, GridScheduler, JobHandle, parse_priority
 from repro.util.hashing import stable_digest
 
-#: Kind tag of persisted grid-memo entries in the result cache.
+#: Kind tag folded into :func:`grid_digest` (memo job ids hash it).
 GRID_MEMO_KIND = "grid_memo"
 
 #: Default size of the in-process grid memo (distinct grids, not cells).
@@ -48,12 +50,11 @@ GRID_MEMO_SIZE = 64
 def grid_digest(grid: ScenarioGrid) -> str:
     """Stable content address of one grid execution request.
 
-    Nonzero solver revisions join the digest, as they join
-    :func:`~repro.pipeline.fingerprint.solver_fingerprint`: a persisted
-    memo still lists the result keys its first run wrote, and those stay
-    on disk after a backend's revision bump, so the memo itself must miss.
+    It keys the in-process memo and names memo answers' job ids
+    (``memo-<digest>``). Nonzero solver revisions join it, as they join
+    :func:`~repro.pipeline.fingerprint.solver_fingerprint`.
     """
-    # "batch" stays so memos persisted by older daemons keep their addresses.
+    # "batch" stays so memo job ids keep their addresses.
     payload = {"kind": GRID_MEMO_KIND, "grid": grid.to_dict(), "batch": True}
     revisions = {}
     for config in grid.solvers:
@@ -110,9 +111,9 @@ class EvalService:
     def lookup_cached(self, grid: ScenarioGrid):
         """Solved cells for this exact grid, or ``None``.
 
-        Checks the in-process memo, then the persisted cache entry
-        (validating every recorded result key still exists on disk).
-        Returned cells are copies with ``cache_hit=True``.
+        Checks the in-process memo, then the cache's instance index
+        (every work item must read whole from it). Returned cells are
+        copies with ``cache_hit=True``.
         """
         digest = grid_digest(grid)
         with self._lock:
@@ -120,62 +121,36 @@ class EvalService:
             if cells is not None:
                 self._memo.move_to_end(digest)
         if cells is None:
-            cells = self._lookup_persisted(grid, digest)
+            cells = self._lookup_index(grid)
             if cells is None:
                 return None
+            self._remember(digest, cells)
         self.memo_answers += 1
         return [replace(cell, cache_hit=True) for cell in cells]
 
-    def _lookup_persisted(self, grid: ScenarioGrid, digest: str):
+    def _lookup_index(self, grid: ScenarioGrid):
         if self.cache is None:
             return None
-        payload = self.cache.get_payload(digest, GRID_MEMO_KIND)
-        if payload is None:
-            return None
-        keys = payload.get("keys")
-        rows = payload.get("cells")
-        scenarios = grid.cells()
-        if (
-            not isinstance(keys, list)
-            or not isinstance(rows, list)
-            or len(rows) != len(scenarios)
-        ):
-            return None
-        # Trust the memo only while every underlying solve is still in
-        # the content-addressed store — a pruned cache means re-solving.
-        if any(key not in self.cache for key in keys):
-            return None
-        try:
-            cells = [
-                _cell_from_payload(scenario, row)
-                for scenario, row in zip(scenarios, rows)
-            ]
-        except TypeError:
-            return None
-        with self._lock:
-            self._memo[digest] = cells
-            self._memo.move_to_end(digest)
-            while len(self._memo) > self.memo_size:
-                self._memo.popitem(last=False)
+        cells = [None] * len(grid)
+        groups = group_cells(grid.cells())
+        # The last item first: a grid extending a solved one (a size or
+        # seed appended) then misses after one item, not after reading
+        # every solved one.
+        for group in groups[-1:] + groups[:-1]:
+            found = indexed_cells([s for _, s in group], self.cache)
+            if found is None:
+                return None
+            for (index, _), cell in zip(group, found):
+                cells[index] = cell
         return cells
 
-    def store_cached(self, grid: ScenarioGrid, cells: list) -> None:
-        """Record a completed grid's cells in both memo layers."""
-        digest = grid_digest(grid)
+    def _remember(self, digest: str, cells: list) -> None:
+        """Record a grid's cells in the in-process memo."""
         with self._lock:
             self._memo[digest] = list(cells)
             self._memo.move_to_end(digest)
             while len(self._memo) > self.memo_size:
                 self._memo.popitem(last=False)
-        if self.cache is not None:
-            self.cache.put_payload(
-                digest,
-                GRID_MEMO_KIND,
-                {
-                    "keys": [cell.key for cell in cells],
-                    "cells": [_cell_payload(cell) for cell in cells],
-                },
-            )
 
     # -- job submission ------------------------------------------------
 
@@ -207,7 +182,9 @@ class EvalService:
             # event is set, so judge success from the job itself.
             if not handle.job.cancelled and not handle.job.failed_items():
                 try:
-                    self.store_cached(grid, handle.job.result_cells())
+                    self._remember(
+                        grid_digest(grid), handle.job.result_cells()
+                    )
                 except ExperimentError:
                     pass  # incomplete (shouldn't happen at settlement)
             if on_done is not None:

@@ -115,6 +115,11 @@ def factory_accepts_seed(kind: str) -> bool:
     )
 
 
+def topology_factory(kind: str) -> "Callable[..., Topology] | None":
+    """The factory registered under ``kind`` (``None`` if unknown)."""
+    return _REGISTRY.get(kind)
+
+
 def register_topology(kind: str, factory: Callable[..., Topology]) -> None:
     """Register a custom topology factory under ``kind``.
 

@@ -135,6 +135,14 @@ def traffic_model_is_deterministic(model: str) -> bool:
     return _lookup(model).deterministic
 
 
+def traffic_model_builder(model: str) -> "Callable[..., TrafficMatrix] | None":
+    """The builder registered under ``model`` (``None`` if unknown)."""
+    try:
+        return _lookup(model).builder
+    except TrafficError:
+        return None
+
+
 def make_traffic(
     model: str, topo: Topology, seed=None, **params
 ) -> TrafficMatrix:

@@ -8,6 +8,8 @@ import time
 
 import pytest
 
+import repro.pipeline.engine as engine
+import repro.service.core as core
 from repro.exceptions import ExperimentError
 from repro.flow.solvers import SolverConfig
 from repro.pipeline.engine import run_grid
@@ -92,6 +94,40 @@ class TestGridMemo:
             victim = service.cache._path(cells[0].key)
             victim.unlink()
             assert service.lookup_cached(grid) is None
+
+    def test_code_change_retires_restart_answers(self, tmp_path, monkeypatch):
+        """A restarted service answers from the instance index, which any
+        change to the package source invalidates (the grid digest does
+        not change: it folds in solver revisions only)."""
+        grid = small_grid()
+        with EvalService(workers=1, cache_dir=str(tmp_path)) as warmup:
+            _, handle, _ = warmup.submit(grid)
+            handle.result(timeout=60)
+        digest = grid_digest(grid)
+        monkeypatch.setitem(engine._BUILD_TABLE, "source", "0" * 64)
+        assert grid_digest(grid) == digest
+        with EvalService(workers=1, cache_dir=str(tmp_path)) as fresh:
+            assert fresh.lookup_cached(grid) is None
+
+    def test_extended_grid_misses_on_its_last_item(self, tmp_path, monkeypatch):
+        """A resubmit that appends a size to a solved grid misses on the
+        new item before reading any solved one."""
+        with EvalService(workers=1, cache_dir=str(tmp_path)) as warmup:
+            _, handle, _ = warmup.submit(small_grid())
+            handle.result(timeout=60)
+        probed = []
+        lookup = core.indexed_cells
+
+        def counted(scenarios, cache):
+            probed.append(scenarios[0].size)
+            return lookup(scenarios, cache)
+
+        monkeypatch.setattr(core, "indexed_cells", counted)
+        with EvalService(workers=1, cache_dir=str(tmp_path)) as fresh:
+            assert fresh.lookup_cached(small_grid(sizes=(8, 10, 12))) is None
+            assert probed == [12]
+            assert fresh.lookup_cached(small_grid()) is not None
+            assert probed == [12, 10, 8]
 
     def test_uncached_service_has_no_persistent_memo(self):
         grid = small_grid(sizes=(8,))
