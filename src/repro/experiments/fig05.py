@@ -9,6 +9,8 @@ extremes.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import TopologyError
 from repro.experiments.common import (
     ExperimentResult,
@@ -39,7 +41,9 @@ def run_fig5(
     """Throughput vs. β for power-law port populations (Figure 5).
 
     ``server_fraction`` sets the total server count as a share of total
-    ports (held constant within a curve while β varies).
+    ports (held constant within a curve while β varies). Every β point of
+    a curve runs on the same random draws (port counts, wiring seeds and
+    workloads), so the curve compares server placements, not instances.
     """
     result = ExperimentResult(
         experiment_id="fig5",
@@ -56,13 +60,12 @@ def run_fig5(
     )
     for mean_index, mean_ports in enumerate(mean_ports_options):
         series = ExperimentSeries(f"Avg port-count {mean_ports:g}")
-        for beta_index, beta in enumerate(betas):
-            root = (
-                None
-                if seed is None
-                else seed * 11_003 + mean_index * 503 + beta_index
-            )
-
+        root = (
+            np.random.SeedSequence().entropy
+            if seed is None
+            else seed * 11_003 + mean_index * 503
+        )
+        for beta in betas:
             def build(child, beta=beta):
                 ports_list = power_law_ports_with_mean(
                     num_switches,

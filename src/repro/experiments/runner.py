@@ -21,7 +21,7 @@ Examples::
     repro-experiments sweep --grid grid.json --manifest run-manifest.json
     repro-experiments sweep --resume run-manifest.json
     repro-experiments serve --socket eval.sock --workers 4 \\
-        --cache-dir .sweep-cache --http-port 8642
+        --cache-dir .sweep-cache
     repro-experiments submit --socket eval.sock --grid grid.json \\
         --priority interactive
     repro-experiments fidelity --k 4 --runs 2
@@ -38,6 +38,7 @@ import ast
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.experiments.registry import (
     available_experiments,
@@ -69,6 +70,118 @@ def _split_list(text: "str | None") -> list[str]:
     return [item for item in (text or "").split(",") if item]
 
 
+#: The flags that more than one subcommand takes, each defined once as
+#: ``add_argument`` keywords. ``_add_flags`` adds them to a subcommand and
+#: applies that subcommand's overrides there. (An argparse parent parser
+#: would share one action object between subcommands, so one
+#: subcommand's default would change every other's.)
+_FLAGS: "dict[str, dict]" = {
+    "--workers": dict(type=int, default=1, help="worker processes"),
+    "--cache-dir": dict(
+        type=str,
+        default=None,
+        help="content-addressed result cache directory (reused across runs)",
+    ),
+    "--quiet": dict(action="store_true", help="suppress per-item progress"),
+    "--seed": dict(type=int, default=None, help="root RNG seed"),
+    "--json": dict(
+        type=str, default=None, help="write the full result as JSON here"
+    ),
+    "--csv": dict(
+        type=str, default=None, help="write the result rows as CSV here"
+    ),
+    "--traffic": dict(
+        type=str,
+        default="permutation",
+        help="traffic model (default: permutation)",
+    ),
+    "--name": dict(type=str, help="name recorded in artifacts"),
+    "--base-seed": dict(
+        type=int, default=0, help="root seed the replicates derive from"
+    ),
+    "--paper": dict(
+        action="store_true",
+        help="use paper-scale parameters (slow; minutes to hours)",
+    ),
+    "--runs": dict(type=int, default=None, help="runs per point"),
+    "--grid": dict(
+        type=str,
+        default=None,
+        help="JSON grid config file (ScenarioGrid.to_dict schema)",
+    ),
+    "--topo-param": dict(
+        action="append",
+        metavar="KEY=VALUE",
+        help="topology constructor parameter, applied to every topology "
+        "(repeatable)",
+    ),
+    "--solver-param": dict(
+        action="append",
+        metavar="KEY=VALUE",
+        help="solver option, applied to every solver (repeatable)",
+    ),
+    "--failure-model": dict(
+        type=str,
+        default="random_links",
+        help="failure model: random_links, random_switches, or correlated "
+        "(default: random_links)",
+    ),
+    "--seeds": dict(type=int, default=1, help="replicates per combination"),
+    "--manifest": dict(
+        type=str,
+        default=None,
+        help="write a resumable run manifest here (rewritten atomically "
+        "after every completed work item)",
+    ),
+    "--resume": dict(
+        type=str,
+        default=None,
+        metavar="MANIFEST",
+        help="re-attach to an interrupted run: work items the manifest "
+        "records are skipped, the rest re-run against its cache (other "
+        "flags are ignored)",
+    ),
+    "--profile": dict(
+        type=str,
+        nargs="?",
+        default=None,
+        metavar="PATH",
+        help="emit a repro.perf JSON span artifact (timer spans + cProfile "
+        "hotspots; cProfile covers this process only — with --workers > 1 "
+        "the solve time lives in the span records) to PATH "
+        "(default: %(const)s)",
+    ),
+    "--socket": dict(
+        type=str,
+        default="repro-eval.sock",
+        help="daemon unix socket path (default: %(default)s)",
+    ),
+    "--solver": dict(type=str),
+    "--exact-limit": dict(
+        type=int,
+        help="largest fabric (switches) solved by the exact LP; larger "
+        "ones use --estimator",
+    ),
+    "--estimator": dict(
+        type=str,
+        default="estimate_bound",
+        help="calibrated estimator backend for fabrics above --exact-limit",
+    ),
+    "--anneal-steps": dict(type=int),
+}
+
+
+def _add_flags(parser, *flags: str, **overrides: dict) -> None:
+    """Add the named ``_FLAGS`` to a subcommand's parser.
+
+    ``overrides`` maps a flag's dest to the ``add_argument`` keywords
+    that differ in this subcommand, such as its default.
+    """
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        parser.add_argument(flag, **{**_FLAGS[flag], **overrides.get(dest, {})})
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
@@ -79,67 +192,52 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list available experiment ids")
+    listing = sub.add_parser("list", help="list available experiment ids")
+    listing.set_defaults(func=_run_list)
 
     from repro.traffic.registry import available_traffic_models
 
     analyze = sub.add_parser(
         "analyze", help="analyze a serialized topology (JSON) under a workload"
     )
+    analyze.set_defaults(func=_run_analyze)
     analyze.add_argument("topology", help="path to a topology JSON file")
-    analyze.add_argument(
+    _add_flags(
+        analyze,
         "--traffic",
-        default="permutation",
-        choices=[*available_traffic_models(), "none"],
-        help="workload to solve (default: random permutation)",
+        "--seed",
+        traffic=dict(
+            type=None,
+            choices=[*available_traffic_models(), "none"],
+            help="workload to solve, or 'none' for a structure-only report "
+            "(default: permutation)",
+        ),
+        seed=dict(default=0),
     )
-    analyze.add_argument("--seed", type=int, default=0, help="workload seed")
 
     run = sub.add_parser("run", help="run one or more experiments")
+    run.set_defaults(func=_run_experiments)
     run.add_argument(
         "experiments",
         nargs="+",
         help="experiment ids (e.g. fig1a fig12a) or 'all'",
     )
     run.add_argument(
-        "--paper",
-        action="store_true",
-        help="use paper-scale parameters (slow; minutes to hours)",
-    )
-    run.add_argument("--runs", type=int, default=None, help="runs per point")
-    run.add_argument("--seed", type=int, default=None, help="root RNG seed")
-    run.add_argument(
         "--out", type=str, default=None, help="also append tables to this file"
     )
+    _add_flags(run, "--paper", "--runs", "--seed")
 
     sweep = sub.add_parser(
         "sweep",
         help="run a declarative scenario grid (topologies x traffic x "
         "solvers x sizes x seeds)",
     )
-    sweep.add_argument(
-        "--grid",
-        type=str,
-        default=None,
-        help="JSON grid config file (ScenarioGrid.to_dict schema); other "
-        "grid flags are ignored when given, except the failure flags, "
-        "which apply on top",
-    )
-    sweep.add_argument(
-        "--name", type=str, default="sweep", help="grid name for artifacts"
-    )
+    sweep.set_defaults(func=_run_sweep)
     sweep.add_argument(
         "--topologies",
         type=str,
         default="rrg",
         help="comma-separated topology registry kinds",
-    )
-    sweep.add_argument(
-        "--topo-param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="topology constructor parameter, applied to every kind "
-        "(repeatable)",
     )
     sweep.add_argument(
         "--sizes",
@@ -173,12 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated solver registry keys",
     )
     sweep.add_argument(
-        "--solver-param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="solver option, applied to every solver (repeatable)",
-    )
-    sweep.add_argument(
         "--failure-rates",
         type=float,
         nargs="+",
@@ -187,13 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="failure axis: one grid column per rate (0 means the intact "
         "fabric; its cells share seeds and cache entries with "
         "failure-free sweeps)",
-    )
-    sweep.add_argument(
-        "--failure-model",
-        type=str,
-        default="random_links",
-        help="failure model for --failure-rates: random_links, "
-        "random_switches, or correlated (default: random_links)",
     )
     sweep.add_argument(
         "--failure-param",
@@ -210,89 +295,40 @@ def _build_parser() -> argparse.ArgumentParser:
         help="demand policy on partitioned fabrics; failure cells default "
         "to 'drop', intact cells to 'error'",
     )
-    sweep.add_argument(
-        "--seeds", type=int, default=1, help="replicates per combination"
-    )
-    sweep.add_argument(
-        "--base-seed", type=int, default=0, help="root seed for cell seeding"
-    )
-    sweep.add_argument(
-        "--workers", type=int, default=1, help="worker processes"
-    )
-    sweep.add_argument(
+    _add_flags(
+        sweep,
+        "--grid",
+        "--name",
+        "--topo-param",
+        "--solver-param",
+        "--failure-model",
+        "--seeds",
+        "--base-seed",
+        "--workers",
         "--cache-dir",
-        type=str,
-        default=None,
-        help="content-addressed result cache directory (reused across runs)",
-    )
-    sweep.add_argument(
         "--manifest",
-        type=str,
-        default=None,
-        help="write a resumable run manifest here (rewritten atomically "
-        "after every completed work item)",
-    )
-    sweep.add_argument(
         "--resume",
-        type=str,
-        default=None,
-        metavar="MANIFEST",
-        help="re-attach to an interrupted run: cells the manifest records "
-        "are skipped, the rest re-run against its cache (grid flags are "
-        "ignored; reports re-solved / cache-hit / skipped counts)",
-    )
-    sweep.add_argument(
-        "--json", type=str, default=None, help="write full sweep JSON here"
-    )
-    sweep.add_argument(
-        "--csv", type=str, default=None, help="write per-cell CSV here"
-    )
-    sweep.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress"
-    )
-    sweep.add_argument(
+        "--json",
+        "--csv",
+        "--quiet",
         "--profile",
-        type=str,
-        nargs="?",
-        const="profile_sweep.json",
-        default=None,
-        metavar="PATH",
-        help="emit a repro.perf JSON span artifact (timer spans + cProfile "
-        "hotspots; cProfile covers this process only — with --workers > 1 "
-        "the solve time lives in the span records) to PATH "
-        "(default: profile_sweep.json)",
+        grid=dict(
+            help="JSON grid config file (ScenarioGrid.to_dict schema); other "
+            "grid flags are ignored when given, except the failure flags, "
+            "which apply on top"
+        ),
+        name=dict(default="sweep"),
+        profile=dict(const="profile_sweep.json"),
     )
 
     serve = sub.add_parser(
         "serve",
         help="run the evaluation daemon: JSON-lines over a unix socket "
-        "(streaming cell results), optional minimal HTTP; interactive "
-        "submits preempt queued bulk sweeps, and repeat grids answer "
-        "from the grid memo without touching a worker",
+        "(streaming cell results); interactive submits preempt queued "
+        "bulk sweeps, and repeat grids answer from the grid memo without "
+        "touching a worker",
     )
-    serve.add_argument(
-        "--socket",
-        type=str,
-        default="repro-eval.sock",
-        help="unix socket path to listen on (default: repro-eval.sock)",
-    )
-    serve.add_argument(
-        "--http-port",
-        type=int,
-        default=None,
-        help="also serve minimal HTTP (GET /ping, GET /stats, "
-        "POST /submit) on this localhost port",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2, help="worker processes"
-    )
-    serve.add_argument(
-        "--cache-dir",
-        type=str,
-        default=None,
-        help="content-addressed result cache directory (also persists the "
-        "grid memo across daemon restarts)",
-    )
+    serve.set_defaults(func=_run_serve)
     serve.add_argument(
         "--max-in-flight",
         type=int,
@@ -307,31 +343,32 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-attempt wall-clock timeout for work items (retried "
         "with backoff until attempts run out)",
     )
+    _add_flags(
+        serve,
+        "--socket",
+        "--workers",
+        "--cache-dir",
+        workers=dict(default=2),
+        cache_dir=dict(
+            help="content-addressed result cache directory; after a "
+            "restart, the daemon answers solved grids from its instance "
+            "index"
+        ),
+    )
 
     submit = sub.add_parser(
         "submit",
         help="submit a grid to a running daemon and stream its cells",
     )
-    submit.add_argument(
-        "--socket",
-        type=str,
-        default="repro-eval.sock",
-        help="daemon unix socket path",
-    )
-    submit.add_argument(
-        "--grid",
-        type=str,
-        required=True,
-        help="JSON grid config file (ScenarioGrid.to_dict schema)",
-    )
+    submit.set_defaults(func=_run_submit)
     submit.add_argument(
         "--priority",
         type=str,
         default="bulk",
         help="'interactive' (jumps queued bulk work) or 'bulk'",
     )
-    submit.add_argument(
-        "--quiet", action="store_true", help="suppress per-cell progress"
+    _add_flags(
+        submit, "--socket", "--grid", "--quiet", grid=dict(required=True)
     )
 
     fidelity = sub.add_parser(
@@ -339,24 +376,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="routing-fidelity study: ECMP/MPTCP vs the exact LP on "
         "matched equipment, with calibrated-band and route-cache stats",
     )
+    fidelity.set_defaults(func=_run_fidelity)
     fidelity.add_argument(
         "--k", type=int, default=None, help="fat-tree arity / equipment scale"
     )
-    fidelity.add_argument(
-        "--runs", type=int, default=None, help="replicates per family"
-    )
-    fidelity.add_argument("--seed", type=int, default=None, help="root seed")
-    fidelity.add_argument(
-        "--paper",
-        action="store_true",
-        help="use paper-scale parameters (slower)",
-    )
+    _add_flags(fidelity, "--runs", "--seed", "--paper")
 
     grow = sub.add_parser(
         "grow",
         help="run a multi-stage growth campaign (strategies x seeds over "
         "one equipment schedule)",
     )
+    grow.set_defaults(func=_run_grow)
     grow.add_argument(
         "--schedule",
         type=str,
@@ -364,9 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="JSON growth schedule file (GrowthSchedule.to_dict schema); "
         "--start/--target/--stages/--degree/--servers-per-switch are "
         "ignored when given",
-    )
-    grow.add_argument(
-        "--name", type=str, default="growth", help="schedule name for artifacts"
     )
     grow.add_argument(
         "--start", type=int, default=64, help="initial switch budget"
@@ -393,68 +421,34 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated growth strategies (swap, swap_anneal, "
         "rebuild, fattree_upgrade)",
     )
-    grow.add_argument(
-        "--traffic", type=str, default="permutation", help="traffic model"
-    )
-    grow.add_argument(
+    _add_flags(
+        grow,
+        "--name",
+        "--traffic",
         "--solver",
-        type=str,
-        default="auto",
-        help="throughput solver; 'auto' uses the exact LP up to "
-        "--exact-limit switches and --estimator beyond it",
-    )
-    grow.add_argument(
         "--exact-limit",
-        type=int,
-        default=80,
-        help="largest fabric the auto policy solves exactly",
-    )
-    grow.add_argument(
         "--estimator",
-        type=str,
-        default="estimate_bound",
-        help="estimator backend the auto policy scales with",
-    )
-    grow.add_argument(
         "--anneal-steps",
-        type=int,
-        default=150,
-        help="annealing budget per stage for the swap_anneal strategy",
-    )
-    grow.add_argument(
-        "--seeds", type=int, default=1, help="replicates per strategy"
-    )
-    grow.add_argument(
-        "--base-seed", type=int, default=0, help="root seed for replicates"
-    )
-    grow.add_argument(
-        "--workers", type=int, default=1, help="worker processes"
-    )
-    grow.add_argument(
+        "--seeds",
+        "--base-seed",
+        "--workers",
         "--cache-dir",
-        type=str,
-        default=None,
-        help="content-addressed result cache directory (reused across runs)",
-    )
-    grow.add_argument(
-        "--json", type=str, default=None, help="write full campaign JSON here"
-    )
-    grow.add_argument(
-        "--csv", type=str, default=None, help="write per-stage CSV here"
-    )
-    grow.add_argument(
-        "--quiet", action="store_true", help="suppress per-trajectory progress"
-    )
-    grow.add_argument(
+        "--json",
+        "--csv",
+        "--quiet",
         "--profile",
-        type=str,
-        nargs="?",
-        const="profile_grow.json",
-        default=None,
-        metavar="PATH",
-        help="emit a repro.perf JSON span artifact (timer spans + cProfile "
-        "hotspots; cProfile covers this process only) to PATH "
-        "(default: profile_grow.json)",
+        name=dict(default="growth"),
+        solver=dict(
+            default="auto",
+            help="throughput solver; 'auto' uses the exact LP up to "
+            "--exact-limit switches and --estimator beyond it",
+        ),
+        exact_limit=dict(default=80),
+        anneal_steps=dict(
+            default=150,
+            help="annealing budget per stage for the swap_anneal strategy",
+        ),
+        profile=dict(const="profile_grow.json"),
     )
 
     replay = sub.add_parser(
@@ -463,20 +457,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "warm-starting the solver between steps (VDC workload generator "
         "or a JSON/CSV trace file)",
     )
-    replay.add_argument(
-        "--name", type=str, default="replay", help="run name for artifacts"
-    )
+    replay.set_defaults(func=_run_replay)
     replay.add_argument(
         "--topology",
         type=str,
         default="rrg",
         help="topology registry kind (default: rrg)",
-    )
-    replay.add_argument(
-        "--topo-param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="topology constructor parameter (repeatable)",
     )
     replay.add_argument(
         "--trace",
@@ -503,64 +489,42 @@ def _build_parser() -> argparse.ArgumentParser:
         "(repeatable)",
     )
     replay.add_argument(
-        "--solver",
-        type=str,
-        default="edge_lp",
-        help="solver registry key; edge_lp and bound re-solve "
-        "incrementally between steps, others fall back to per-step "
-        "cold solves",
-    )
-    replay.add_argument(
-        "--solver-param",
-        action="append",
-        metavar="KEY=VALUE",
-        help="solver option (repeatable)",
-    )
-    replay.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="seed for the topology build and the timeline generator",
-    )
-    replay.add_argument(
         "--window",
         type=int,
         default=None,
         help="timeline steps per work item (the warm-chain unit; "
         "default: 16)",
     )
-    replay.add_argument(
-        "--workers", type=int, default=1, help="worker processes"
-    )
-    replay.add_argument(
+    _add_flags(
+        replay,
+        "--name",
+        "--topo-param",
+        "--solver",
+        "--solver-param",
+        "--seed",
+        "--workers",
         "--cache-dir",
-        type=str,
-        default=None,
-        help="content-addressed result cache directory; replay steps are "
-        "addressed by chained content fingerprints, so a warm re-run "
-        "of the same trace answers every step from the cache",
-    )
-    replay.add_argument(
         "--manifest",
-        type=str,
-        default=None,
-        help="write a resumable run manifest here",
-    )
-    replay.add_argument(
         "--resume",
-        type=str,
-        default=None,
-        metavar="MANIFEST",
-        help="re-attach to an interrupted replay (other flags are ignored)",
-    )
-    replay.add_argument(
-        "--json", type=str, default=None, help="write full replay JSON here"
-    )
-    replay.add_argument(
-        "--csv", type=str, default=None, help="write per-step CSV here"
-    )
-    replay.add_argument(
-        "--quiet", action="store_true", help="suppress per-step progress"
+        "--json",
+        "--csv",
+        "--quiet",
+        name=dict(default="replay"),
+        solver=dict(
+            default="edge_lp",
+            help="solver registry key; edge_lp and bound re-solve "
+            "incrementally between steps, others fall back to per-step "
+            "cold solves",
+        ),
+        seed=dict(
+            default=0,
+            help="seed for the topology build and the timeline generator",
+        ),
+        cache_dir=dict(
+            help="content-addressed result cache directory; replay steps "
+            "are addressed by chained content fingerprints, so a warm "
+            "re-run of the same trace answers every step from the cache"
+        ),
     )
 
     design = sub.add_parser(
@@ -569,6 +533,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "from a parts catalog for the cost x throughput x resilience x "
         "churn frontier under a budget",
     )
+    design.set_defaults(func=_run_design)
     design.add_argument(
         "--budget",
         type=float,
@@ -586,43 +551,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "built-in 4-SKU catalog",
     )
     design.add_argument(
-        "--traffic", type=str, default="permutation", help="traffic model"
-    )
-    design.add_argument(
         "--replicates", type=int, default=2, help="instances per design point"
-    )
-    design.add_argument(
-        "--base-seed", type=int, default=0, help="root seed for replicates"
-    )
-    design.add_argument(
-        "--failure-model",
-        type=str,
-        default="random_links",
-        help="failure model for the resilience axis ('none' disables it)",
     )
     design.add_argument(
         "--failure-rate",
         type=float,
         default=0.1,
         help="failure rate for the resilience axis",
-    )
-    design.add_argument(
-        "--estimator",
-        type=str,
-        default="estimate_bound",
-        help="calibrated estimator for designs above --exact-limit",
-    )
-    design.add_argument(
-        "--exact-limit",
-        type=int,
-        default=120,
-        help="largest fabric (switches) evaluated with the exact LP",
-    )
-    design.add_argument(
-        "--anneal-steps",
-        type=int,
-        default=0,
-        help="annealing mutations after the generator population",
     )
     design.add_argument(
         "--generators",
@@ -636,24 +571,29 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the exact-LP confirmation pass over frontier finalists",
     )
-    design.add_argument(
-        "--workers", type=int, default=1, help="worker processes"
-    )
-    design.add_argument(
+    _add_flags(
+        design,
+        "--traffic",
+        "--base-seed",
+        "--failure-model",
+        "--estimator",
+        "--exact-limit",
+        "--anneal-steps",
+        "--workers",
         "--cache-dir",
-        type=str,
-        default=None,
-        help="content-addressed result cache directory; a warm re-run of "
-        "the same spec + catalog answers every solve from the cache",
-    )
-    design.add_argument(
-        "--json", type=str, default=None, help="write full frontier JSON here"
-    )
-    design.add_argument(
-        "--csv", type=str, default=None, help="write per-design CSV here"
-    )
-    design.add_argument(
-        "--quiet", action="store_true", help="suppress the frontier table"
+        "--json",
+        "--csv",
+        "--quiet",
+        failure_model=dict(
+            help="failure model for the resilience axis ('none' disables "
+            "it; default: random_links)"
+        ),
+        exact_limit=dict(default=120),
+        anneal_steps=dict(
+            default=0,
+            help="annealing mutations after the generator population",
+        ),
+        quiet=dict(help="print only the summary's last two lines"),
     )
     return parser
 
@@ -672,93 +612,110 @@ def _failure_axis(args) -> "tuple | None":
 
 
 def _grid_from_args(args) -> "object":
+    """The sweep's grid, from ``--grid`` or the grid flags; the failure
+    flags and ``--unreachable`` apply on top of either."""
     from dataclasses import replace
 
     from repro.flow.solvers import SolverConfig
     from repro.pipeline.scenario import ScenarioGrid, TopologySpec, TrafficSpec
 
-    failures = _failure_axis(args)
     if args.grid:
         with open(args.grid, "r", encoding="utf-8") as handle:
             grid = ScenarioGrid.from_dict(json.load(handle))
-        if failures is not None:
-            grid = replace(grid, failures=failures)
-        if args.unreachable is not None:
-            grid = replace(
-                grid,
-                solvers=tuple(
-                    SolverConfig.make(
-                        config.name,
-                        **{
-                            **config.options_dict(),
-                            "unreachable": args.unreachable,
-                        },
-                    )
-                    for config in grid.solvers
-                ),
-            )
-        return grid
-
-    topo_params = _parse_params(args.topo_param)
-    traffic_params = _parse_params(args.traffic_param)
-    solver_params = _parse_params(args.solver_param)
+    else:
+        topo_params = _parse_params(args.topo_param)
+        traffic_params = _parse_params(args.traffic_param)
+        solver_params = _parse_params(args.solver_param)
+        sizes = (
+            tuple(int(s) for s in _split_list(args.sizes))
+            if args.sizes
+            else None
+        )
+        grid = ScenarioGrid(
+            name=args.name,
+            topologies=tuple(
+                TopologySpec.make(kind, **topo_params)
+                for kind in _split_list(args.topologies)
+            ),
+            traffics=tuple(
+                TrafficSpec.make(model, **traffic_params)
+                for model in _split_list(args.traffics)
+            ),
+            solvers=tuple(
+                SolverConfig.make(solver, **solver_params)
+                for solver in _split_list(args.solvers)
+            ),
+            sizes=sizes,
+            seeds=args.seeds,
+            base_seed=args.base_seed,
+            size_param=args.size_param,
+        )
+    failures = _failure_axis(args)
+    if failures is not None:
+        grid = replace(grid, failures=failures)
     if args.unreachable is not None:
-        solver_params["unreachable"] = args.unreachable
-    sizes = (
-        tuple(int(s) for s in _split_list(args.sizes)) if args.sizes else None
-    )
-    return ScenarioGrid(
-        name=args.name,
-        topologies=tuple(
-            TopologySpec.make(kind, **topo_params)
-            for kind in _split_list(args.topologies)
-        ),
-        traffics=tuple(
-            TrafficSpec.make(model, **traffic_params)
-            for model in _split_list(args.traffics)
-        ),
-        solvers=tuple(
-            SolverConfig.make(solver, **solver_params)
-            for solver in _split_list(args.solvers)
-        ),
-        sizes=sizes,
-        seeds=args.seeds,
-        base_seed=args.base_seed,
-        size_param=args.size_param,
-        failures=failures,
-    )
+        grid = replace(
+            grid,
+            solvers=tuple(
+                SolverConfig.make(
+                    config.name,
+                    **{**config.options_dict(), "unreachable": args.unreachable},
+                )
+                for config in grid.solvers
+            ),
+        )
+    return grid
 
 
-def _make_profiler(args, label: str):
-    """(profiler, scope) for a ``--profile`` run; inert otherwise."""
-    from contextlib import nullcontext
+@contextmanager
+def _profiled(args, label: str):
+    """Run a ``sweep`` or ``grow`` command body under its ``--profile``.
 
-    if not getattr(args, "profile", None):
-        return None, nullcontext()
+    Yields the run's :class:`~repro.perf.Profiler`, scoped for
+    ``perf_span`` and capturing cProfile, or ``None`` without the flag.
+    The JSON artifact is written when the body finishes.
+    """
+    if not args.profile:
+        yield None
+        return
     from repro.perf import Profiler, profiling
 
     profiler = Profiler(label=label, cprofile=True)
-    return profiler, profiling(profiler)
+    with profiling(profiler), profiler.profiled():
+        yield profiler
+    profiler.write_json(args.profile)
+    print(f"wrote profile {args.profile}")
+
+
+def _write_artifacts(args, result) -> None:
+    """Write ``result`` to the ``--json`` and ``--csv`` paths given."""
+    from repro.perf import perf_span
+
+    with perf_span("artifacts"):
+        if args.json:
+            result.write_json(args.json)
+            print(f"wrote {args.json}")
+        if args.csv:
+            result.write_csv(args.csv)
+            print(f"wrote {args.csv}")
+
+
+def _experiment_kwargs(args, *flags: str) -> dict:
+    """``run_experiment`` keywords from ``--paper``, ``--runs``, ``--seed``
+    and the named extra ``flags``; a flag left unset is not passed."""
+    overrides = {
+        key: getattr(args, key)
+        for key in ("runs", "seed", *flags)
+        if getattr(args, key) is not None
+    }
+    return {"scale": "paper" if args.paper else "default", **overrides}
 
 
 def _run_sweep(args) -> int:
-    from contextlib import nullcontext
-
     from repro.perf import perf_span
     from repro.pipeline.engine import resume_grid, run_grid
 
-    profiler, scope = _make_profiler(args, "sweep")
-    with scope:
-        if args.resume:
-            grid = None
-        else:
-            with perf_span("grid"):
-                grid = _grid_from_args(args)
-            total = len(grid)
-            print(
-                f"sweep {grid.name!r}: {total} cells, {args.workers} worker(s)"
-            )
-
+    with _profiled(args, "sweep") as profiler:
         def progress(done: int, count: int, cell) -> None:
             if profiler is not None:
                 profiler.record(
@@ -774,9 +731,8 @@ def _run_sweep(args) -> int:
                     f"throughput {cell.throughput:.4f}{hit}"
                 )
 
-        profiled = profiler.profiled() if profiler is not None else nullcontext()
         if args.resume:
-            with perf_span("run", workers=args.workers), profiled:
+            with perf_span("run", workers=args.workers):
                 sweep = resume_grid(
                     args.resume, workers=args.workers, progress=progress
                 )
@@ -788,7 +744,13 @@ def _run_sweep(args) -> int:
                 f"{counts.get('skipped', 0)} skipped"
             )
         else:
-            with perf_span("run", cells=total, workers=args.workers), profiled:
+            with perf_span("grid"):
+                grid = _grid_from_args(args)
+            print(
+                f"sweep {grid.name!r}: {len(grid)} cells, "
+                f"{args.workers} worker(s)"
+            )
+            with perf_span("run", cells=len(grid), workers=args.workers):
                 sweep = run_grid(
                     grid,
                     workers=args.workers,
@@ -797,28 +759,16 @@ def _run_sweep(args) -> int:
                     manifest=args.manifest,
                 )
         print(sweep.to_table())
-        with perf_span("artifacts"):
-            if args.json:
-                sweep.write_json(args.json)
-                print(f"wrote {args.json}")
-            if args.csv:
-                sweep.write_csv(args.csv)
-                print(f"wrote {args.csv}")
-    if profiler is not None:
-        profiler.write_json(args.profile)
-        print(f"wrote profile {args.profile}")
+        _write_artifacts(args, sweep)
     return 0
 
 
 def _run_grow(args) -> int:
-    from contextlib import nullcontext
-
     from repro.growth.plan import GrowthSchedule
     from repro.growth.trajectory import run_growth_sweep
     from repro.perf import perf_span
 
-    profiler, scope = _make_profiler(args, "grow")
-    with scope:
+    with _profiled(args, "grow") as profiler:
         with perf_span("schedule"):
             if args.schedule:
                 with open(args.schedule, "r", encoding="utf-8") as handle:
@@ -859,10 +809,7 @@ def _run_grow(args) -> int:
                     f"({hits}/{len(trajectory.records)} cached)"
                 )
 
-        profiled = profiler.profiled() if profiler is not None else nullcontext()
-        with perf_span(
-            "run", strategies=len(strategies), workers=args.workers
-        ), profiled:
+        with perf_span("run", strategies=len(strategies), workers=args.workers):
             sweep = run_growth_sweep(
                 schedule,
                 strategies,
@@ -878,16 +825,7 @@ def _run_grow(args) -> int:
                 progress=progress,
             )
         print(sweep.to_table())
-        with perf_span("artifacts"):
-            if args.json:
-                sweep.write_json(args.json)
-                print(f"wrote {args.json}")
-            if args.csv:
-                sweep.write_csv(args.csv)
-                print(f"wrote {args.csv}")
-    if profiler is not None:
-        profiler.write_json(args.profile)
-        print(f"wrote profile {args.profile}")
+        _write_artifacts(args, sweep)
     return 0
 
 
@@ -957,12 +895,7 @@ def _run_replay(args) -> int:
             f"retained throughput vs t0: min {min(retained):.4f}, "
             f"final {retained[-1]:.4f}"
         )
-    if args.json:
-        result.write_json(args.json)
-        print(f"wrote {args.json}")
-    if args.csv:
-        result.write_csv(args.csv)
-        print(f"wrote {args.csv}")
+    _write_artifacts(args, result)
     return 0
 
 
@@ -1002,12 +935,7 @@ def _run_design(args) -> int:
         print("\n".join(lines[-2:]))
     else:
         print(report.summary())
-    if args.json:
-        report.write_json(args.json)
-        print(f"wrote {args.json}")
-    if args.csv:
-        report.write_csv(args.csv)
-        print(f"wrote {args.csv}")
+    _write_artifacts(args, report)
     return 0
 
 
@@ -1022,14 +950,9 @@ def _run_serve(args) -> int:
     )
 
     def ready() -> None:
-        http = (
-            f", http http://127.0.0.1:{args.http_port}"
-            if args.http_port is not None
-            else ""
-        )
         print(
             f"serving on {args.socket} ({args.workers} worker(s), "
-            f"cache {args.cache_dir or 'off'}{http})",
+            f"cache {args.cache_dir or 'off'})",
             flush=True,
         )
 
@@ -1037,7 +960,6 @@ def _run_serve(args) -> int:
         args.socket,
         workers=args.workers,
         cache_dir=args.cache_dir,
-        http_port=args.http_port,
         retry=retry,
         max_in_flight=args.max_in_flight,
         ready=ready,
@@ -1079,15 +1001,7 @@ def _run_submit(args) -> int:
 
 
 def _run_fidelity(args) -> int:
-    overrides: dict = {}
-    if args.k is not None:
-        overrides["k"] = args.k
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    scale = "paper" if args.paper else "default"
-    result = run_experiment("fidelity", scale=scale, **overrides)
+    result = run_experiment("fidelity", **_experiment_kwargs(args, "k"))
     print(result.to_table())
     stats = result.metadata.get("route_stats", {})
     print(f"routes computed: {stats.get('computed', 0)}")
@@ -1101,45 +1015,24 @@ def _run_fidelity(args) -> int:
     return 1 if violations else 0
 
 
-def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        for eid, description in describe_experiments():
-            print(f"{eid:8s}  {description}")
-        return 0
+def _run_list(args) -> int:
+    for eid, description in describe_experiments():
+        print(f"{eid:8s}  {description}")
+    return 0
 
-    if args.command == "analyze":
-        from repro.analysis.report import analyze_network
-        from repro.topology.serialization import load_topology
 
-        topo = load_topology(args.topology)
-        traffic = None if args.traffic == "none" else args.traffic
-        analysis = analyze_network(topo, traffic=traffic, seed=args.seed)
-        print(analysis.to_text())
-        return 0
+def _run_analyze(args) -> int:
+    from repro.analysis.report import analyze_network
+    from repro.topology.serialization import load_topology
 
-    if args.command == "fidelity":
-        return _run_fidelity(args)
+    topo = load_topology(args.topology)
+    traffic = None if args.traffic == "none" else args.traffic
+    analysis = analyze_network(topo, traffic=traffic, seed=args.seed)
+    print(analysis.to_text())
+    return 0
 
-    if args.command == "sweep":
-        return _run_sweep(args)
 
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command == "submit":
-        return _run_submit(args)
-
-    if args.command == "grow":
-        return _run_grow(args)
-
-    if args.command == "replay":
-        return _run_replay(args)
-
-    if args.command == "design":
-        return _run_design(args)
-
+def _run_experiments(args) -> int:
     ids = list(args.experiments)
     if ids == ["all"]:
         ids = available_experiments()
@@ -1148,18 +1041,12 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"unknown experiment ids: {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    overrides: dict = {}
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    scale = "paper" if args.paper else "default"
-
+    kwargs = _experiment_kwargs(args)
     exit_code = 0
     for eid in ids:
         start = time.time()
         try:
-            result = run_experiment(eid, scale=scale, **overrides)
+            result = run_experiment(eid, **kwargs)
         except Exception as exc:  # surface which figure failed, keep going
             print(f"!! {eid} failed: {exc}", file=sys.stderr)
             exit_code = 1
@@ -1172,6 +1059,12 @@ def main(argv: "list[str] | None" = None) -> int:
             with open(args.out, "a", encoding="utf-8") as handle:
                 handle.write(table + f"\n   ({elapsed:.1f}s)\n\n")
     return exit_code
+
+
+def main(argv: "list[str] | None" = None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = _build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ service front-end on it:
   worker, and job bookkeeping by id.
 - :class:`EvalDaemon` — the ``repro-experiments serve`` asyncio server:
   JSON-lines requests over a local unix socket (streaming one event per
-  solved cell), plus a minimal HTTP handler for dashboards and probes.
+  solved cell).
 - :class:`ServiceClient` — the synchronous client the CLI and tests use.
 
 Interactive queries submit with ``priority="interactive"`` and jump

@@ -1,17 +1,12 @@
-"""The ``repro-experiments serve`` daemon: sockets over the service core.
+"""The ``repro-experiments serve`` daemon: a unix socket over the service core.
 
-Two listeners share one :class:`~repro.service.core.EvalService`:
-
-- **Unix socket, JSON lines** — the primary surface. Each request is
-  one JSON object on one line; ``submit`` answers with a stream of
-  events (``accepted``, one ``cell`` per solved cell *as it solves*,
-  then ``done`` with solve counts), everything else with a single
-  object. One connection handles one request at a time; clients open a
-  connection per concurrent query.
-- **Minimal HTTP** (optional ``--http-port``) — ``GET /ping``,
-  ``GET /stats``, and a blocking ``POST /submit`` for curl-style use.
-  This is a probe surface, not a web framework: requests are parsed by
-  hand and responses are single JSON bodies.
+The socket speaks JSON lines to one :class:`~repro.service.core.EvalService`.
+Each request is one JSON object on one line; ``submit`` answers with a
+stream of events (``accepted``, one ``cell`` per solved cell *as it
+solves*, then ``done`` with solve counts), everything else with a
+single object. A line that is not a JSON object gets an ``error`` reply
+and the connection stays open. One connection handles one request at a
+time; clients open a connection per concurrent query.
 
 Scheduler callbacks run on the dispatcher thread; they cross into
 asyncio via ``loop.call_soon_threadsafe`` onto a per-request queue, so
@@ -60,20 +55,12 @@ async def _send(writer, message: dict) -> None:
 
 
 class EvalDaemon:
-    """Bind an :class:`EvalService` to a unix socket (and optional HTTP)."""
+    """Bind an :class:`EvalService` to a unix socket."""
 
-    def __init__(
-        self,
-        service: EvalService,
-        socket_path: str,
-        http_port: "int | None" = None,
-        http_host: str = "127.0.0.1",
-    ) -> None:
+    def __init__(self, service: EvalService, socket_path: str) -> None:
         self.service = service
         self.socket_path = str(socket_path)
-        self.http_port = http_port
-        self.http_host = http_host
-        self._servers: list = []
+        self._server: "asyncio.AbstractServer | None" = None
         self._stop = asyncio.Event()
 
     # -- lifecycle -----------------------------------------------------
@@ -81,17 +68,9 @@ class EvalDaemon:
     async def start(self) -> None:
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
-        self._servers.append(
-            await asyncio.start_unix_server(
-                self._handle_socket, path=self.socket_path
-            )
+        self._server = await asyncio.start_unix_server(
+            self._handle_socket, path=self.socket_path
         )
-        if self.http_port is not None:
-            self._servers.append(
-                await asyncio.start_server(
-                    self._handle_http, host=self.http_host, port=self.http_port
-                )
-            )
 
     async def serve_forever(self) -> None:
         await self.start()
@@ -101,10 +80,10 @@ class EvalDaemon:
             await self.stop()
 
     async def stop(self) -> None:
-        for server in self._servers:
-            server.close()
-            await server.wait_closed()
-        self._servers.clear()
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
         if os.path.exists(self.socket_path):
             try:
                 os.unlink(self.socket_path)
@@ -128,6 +107,12 @@ class EvalDaemon:
                     await _send(
                         writer,
                         {"event": "error", "error": f"bad JSON: {exc}"},
+                    )
+                    continue
+                if not isinstance(request, dict):
+                    await _send(
+                        writer,
+                        {"event": "error", "error": "request is not a JSON object"},
                     )
                     continue
                 await self._dispatch(request, writer)
@@ -156,7 +141,7 @@ class EvalDaemon:
             await _send(writer, self._status(request.get("job_id")))
         elif op == "cancel":
             job_id = request.get("job_id")
-            ok = self.service.cancel(job_id) if job_id else False
+            ok = isinstance(job_id, str) and self.service.cancel(job_id)
             await _send(
                 writer,
                 {"event": "cancelled" if ok else "error",
@@ -174,7 +159,9 @@ class EvalDaemon:
             )
 
     def _status(self, job_id: "str | None") -> dict:
-        handle = self.service.get_job(job_id) if job_id else None
+        handle = (
+            self.service.get_job(job_id) if isinstance(job_id, str) else None
+        )
         if handle is None:
             return {"event": "error", "error": f"unknown job {job_id!r}"}
         return {
@@ -285,111 +272,11 @@ class EvalDaemon:
             await _send(writer, message)
             return
 
-    # -- minimal HTTP --------------------------------------------------
-
-    async def _handle_http(self, reader, writer) -> None:
-        try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                await self._http_reply(writer, 400, {"error": "bad request"})
-                return
-            method, path = parts[0], parts[1]
-            content_length = 0
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = header.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
-            body = (
-                await reader.readexactly(content_length)
-                if content_length
-                else b""
-            )
-            await self._http_route(method, path, body, writer)
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-            ValueError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _http_route(
-        self, method: str, path: str, body: bytes, writer
-    ) -> None:
-        if method == "GET" and path == "/ping":
-            await self._http_reply(writer, 200, {"ok": True})
-        elif method == "GET" and path == "/stats":
-            await self._http_reply(writer, 200, self.service.stats())
-        elif method == "POST" and path == "/submit":
-            try:
-                request = json.loads(body or b"{}")
-                request["op"] = "submit"
-            except json.JSONDecodeError as exc:
-                await self._http_reply(writer, 400, {"error": f"bad JSON: {exc}"})
-                return
-            collector = _CollectingWriter()
-            await self._submit(request, collector)
-            status = 200 if collector.final.get("event") == "done" else 400
-            await self._http_reply(
-                writer,
-                status,
-                {**collector.final, "rows": collector.rows},
-            )
-        else:
-            await self._http_reply(
-                writer, 404, {"error": f"no route {method} {path}"}
-            )
-
-    async def _http_reply(self, writer, status: int, payload: dict) -> None:
-        reason = {200: "OK", 400: "Bad Request", 404: "Not Found"}.get(
-            status, "Error"
-        )
-        body = json.dumps(payload).encode("utf-8")
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {reason}\r\n"
-                "Content-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n\r\n"
-            ).encode("latin-1")
-            + body
-        )
-        await writer.drain()
-
-
-class _CollectingWriter:
-    """Duck-typed writer that buffers a submit stream for HTTP replies."""
-
-    def __init__(self) -> None:
-        self.rows: list = []
-        self.final: dict = {}
-
-    def write(self, data: bytes) -> None:
-        message = json.loads(data)
-        if message.get("event") == "cell":
-            self.rows.append(message["row"])
-        else:
-            self.final = message
-
-    async def drain(self) -> None:
-        pass
-
 
 def serve(
     socket_path: str,
     workers: int = 2,
     cache_dir: "str | None" = None,
-    http_port: "int | None" = None,
     retry=None,
     max_in_flight: "int | None" = None,
     ready=None,
@@ -397,7 +284,7 @@ def serve(
     """Blocking entry point behind ``repro-experiments serve``.
 
     Runs until a ``shutdown`` request (or KeyboardInterrupt). ``ready``
-    is an optional zero-arg callable invoked once the listeners are
+    is an optional zero-arg callable invoked once the socket is
     bound — the CLI prints the banner there, and tests use it to
     synchronize.
     """
@@ -407,7 +294,7 @@ def serve(
         retry=retry,
         max_in_flight=max_in_flight,
     )
-    daemon = EvalDaemon(service, socket_path, http_port=http_port)
+    daemon = EvalDaemon(service, socket_path)
 
     async def _main() -> None:
         await daemon.start()

@@ -285,3 +285,29 @@ class TestVl2Figures:
         assert packet >= 0.6 * flow
         # Validity: no allocation's minimum flow can beat the LP maximin.
         assert packet_min <= flow * 1.05
+
+
+def test_fig5_betas_of_a_curve_share_instances(monkeypatch):
+    """Every β point of a Figure-5 curve averages over the same port lists
+    (common random numbers), so only the server placement varies."""
+    import repro.experiments.fig05 as fig05
+
+    drawn = []
+    draw = fig05.power_law_ports_with_mean
+
+    def recording(*args, **kwargs):
+        ports = draw(*args, **kwargs)
+        drawn.append(tuple(ports))
+        return ports
+
+    monkeypatch.setattr(fig05, "power_law_ports_with_mean", recording)
+    runs = 2
+    run_fig5(
+        num_switches=12,
+        mean_ports_options=(6.0,),
+        betas=(0.0, 1.0),
+        runs=runs,
+        seed=7,
+    )
+    assert len(drawn) == 2 * runs
+    assert drawn[:runs] == drawn[runs:]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -219,6 +220,30 @@ class TestDaemon:
         client = ServiceClient(daemon)
         with pytest.raises(ExperimentError, match="bad submit"):
             client.submit({"nonsense": True})
+
+    def test_malformed_requests_get_errors_and_keep_the_connection(
+        self, daemon
+    ):
+        """Each JSON line that is not an object, and each job id that is not
+        a string, gets an error reply, and a ping sent after them on the
+        same connection is still answered."""
+        malformed = [
+            [],
+            5,
+            "x",
+            {"op": "status", "job_id": [1]},
+            {"op": "cancel", "job_id": {"a": 1}},
+        ]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect(daemon)
+            for request in [*malformed, {"op": "ping"}]:
+                sock.sendall((json.dumps(request) + "\n").encode("utf-8"))
+            stream = sock.makefile("rb")
+            replies = [json.loads(stream.readline()) for _ in range(6)]
+        events = [reply["event"] for reply in replies]
+        assert events == ["error"] * len(malformed) + ["pong"]
+        assert "not a JSON object" in replies[0]["error"]
 
     def test_status_of_unknown_job(self, daemon):
         client = ServiceClient(daemon)
