@@ -119,7 +119,8 @@ def test_estimator_ladder_100k(benchmark):
     for name in LADDER_SOLVERS:
         assert results[name].is_estimate
         assert results[name].throughput > 0.0
-    # One eigensolve feeds both cut and spectral; one CSR feeds bound.
+    # One eigensolve feeds both cut and spectral; bound and that
+    # eigensolve read the one CSR of Topology.adjacency().
     assert stats["fiedler_solves"] == 1
     assert stats["fiedler_hits"] >= 1
     print()

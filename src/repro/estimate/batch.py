@@ -1,22 +1,21 @@
-"""Batched estimator evaluation over shared per-instance artifacts.
+"""Batched estimator evaluation over a shared Fiedler eigenpair.
 
-The estimator ladder (``bound`` / ``cut`` / ``spectral``) repeats two
-expensive per-instance computations when backends run one at a time:
+The estimator ladder (``bound`` / ``cut`` / ``spectral``) repeats one
+expensive per-instance computation when backends run one at a time:
+the **Fiedler eigenpair**. ``cut`` needs the vector for its sweep
+prefixes, ``spectral`` needs the eigenvalue, and both come out of the
+*same* Lanczos solve (~15 s at N = 100,000). The CSR adjacency every
+rung reads needs no memo here: :meth:`Topology.adjacency` keeps it on
+the topology until the topology is mutated.
 
-- the **sparse CSR adjacency** (behind ``bound``'s pair-distance
-  kernel; several seconds to build at N = 100,000), and
-- the **Fiedler eigenpair** — ``cut`` needs the vector for its sweep
-  prefixes, ``spectral`` needs the eigenvalue, and both come out of the
-  *same* Lanczos solve (~15 s at N = 100,000).
-
-:class:`SharedArtifacts` memoizes both, keyed by topology object
-identity, and :func:`shared_artifacts` scopes the memo with a context
-manager (the :func:`repro.pipeline.cache.cache_context` idiom — the
-metric helpers consult :func:`active_artifacts` so backend signatures
-never change). Identity keying is deliberate: the memo is only valid
-while the topology is not mutated, and the context bounds exactly that
-window — the sweep engine opens one context per grid-cell batch, inside
-which every solver column sees the same frozen instance.
+:class:`SharedArtifacts` memoizes the eigenpair, keyed by topology
+object identity, and :func:`shared_artifacts` scopes the memo with a
+context manager (the :func:`repro.pipeline.cache.cache_context` idiom —
+the metric helpers consult :func:`active_artifacts` so backend
+signatures never change). Identity keying is deliberate: the memo is
+only valid while the topology is not mutated, and the context bounds
+exactly that window — the sweep engine opens one context per grid-cell
+batch, inside which every solver column sees the same frozen instance.
 
 Numerics are untouched: a memo hit returns the same arrays the direct
 computation would produce, so batched results are identical to per-cell
@@ -42,13 +41,7 @@ class SharedArtifacts:
 
     def __init__(self) -> None:
         self._fiedler: dict = {}
-        self._csr: dict = {}
-        self.stats = {
-            "fiedler_solves": 0,
-            "fiedler_hits": 0,
-            "csr_builds": 0,
-            "csr_hits": 0,
-        }
+        self.stats = {"fiedler_solves": 0, "fiedler_hits": 0}
 
     def fiedler_pair(self, topo: Topology, weighted: bool = True):
         """Memoized ``(lambda_2, fiedler vector, node order)`` for ``topo``."""
@@ -63,21 +56,6 @@ class SharedArtifacts:
         self.stats["fiedler_solves"] += 1
         self._fiedler[key] = (topo, pair)
         return pair
-
-    def csr_adjacency(self, topo: Topology):
-        """Memoized unweighted CSR adjacency over ``topo.switches`` order."""
-        import networkx as nx
-
-        entry = self._csr.get(id(topo))
-        if entry is not None and entry[0] is topo:
-            self.stats["csr_hits"] += 1
-            return entry[1]
-        adjacency = nx.to_scipy_sparse_array(
-            topo.graph, nodelist=topo.switches, weight=None, format="csr"
-        )
-        self.stats["csr_builds"] += 1
-        self._csr[id(topo)] = (topo, adjacency)
-        return adjacency
 
 
 _ACTIVE_ARTIFACTS: "ContextVar[SharedArtifacts | None]" = ContextVar(
@@ -125,10 +103,10 @@ def run_ladder(
     ``solvers`` names rungs of the ladder (``bound`` / ``cut`` /
     ``spectral``); ``options`` maps a rung name to keyword arguments for
     its backend. Returns ``{name: ThroughputResult}`` — each result
-    identical to calling the backend alone, with the CSR adjacency and
-    the Fiedler eigensolve paid once instead of per rung. Passing
-    ``store`` carries the memo across several calls on the same frozen
-    topology (e.g. per-rung timing loops).
+    identical to calling the backend alone, with the Fiedler eigensolve
+    paid once instead of per rung. Passing ``store`` carries the memo
+    across several calls on the same frozen topology (e.g. per-rung
+    timing loops).
     """
     from repro.estimate.bound import estimate_bound
     from repro.estimate.cut import estimate_cut

@@ -62,9 +62,11 @@ def sim_packet(
     ``"mean"`` the average. Remaining keywords mirror
     :class:`~repro.simulation.simulator.SimulationConfig`.
     """
+    from repro.estimate.common import check_error_band
     from repro.exceptions import FlowError
     from repro.simulation.simulator import PacketLevelSimulator, SimulationConfig
 
+    band = check_error_band(error_band)
     if metric not in PACKET_METRICS:
         known = ", ".join(PACKET_METRICS)
         raise FlowError(f"unknown packet metric {metric!r}; known: {known}")
@@ -90,9 +92,12 @@ def sim_packet(
             )
         ]
         if not kept:
-            return unserved_result(
+            short = unserved_result(
                 topo, label, dropped, dropped_demand, exact=False
             )
+            short.is_estimate = True
+            short.error_band = band
+            return short
         served = TrafficMatrix(
             name=f"{served.name}|packet",
             demands=served.demands,
@@ -138,8 +143,6 @@ def sim_packet(
         if utilization > 0:
             arc_flows[(u, v)] = float(utilization) * cap
 
-    from repro.estimate.common import check_error_band
-
     return ThroughputResult(
         throughput=float(throughput),
         arc_flows=arc_flows,
@@ -150,5 +153,5 @@ def sim_packet(
         is_estimate=True,
         dropped_pairs=tuple(dropped),
         dropped_demand=dropped_demand,
-        error_band=check_error_band(error_band),
+        error_band=band,
     )

@@ -29,10 +29,19 @@ the disk store; :func:`route_stats` exposes computed/memo/disk counters
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.exceptions import FlowError, TopologyError
+from repro.metrics.paths import (
+    ROW_BATCH,
+    _closer_neighbors,
+    _dag_enumerate,
+    _walk_shortest_paths,
+    hop_rows,
+    k_shortest_paths,
+)
 from repro.topology.base import Topology
 from repro.util.hashing import stable_digest, stable_seed
 
@@ -246,88 +255,29 @@ def _check_mode(mode: str, method: "str | None") -> str:
 # ----------------------------------------------------------------------
 # Enumeration engines
 # ----------------------------------------------------------------------
-def _graph_arrays(topo: Topology):
-    """(nodes, index, csr adjacency) shared by the scipy-backed methods."""
-    import networkx as nx
-
-    nodes = topo.switches
-    index = {node: i for i, node in enumerate(nodes)}
-    adjacency = nx.to_scipy_sparse_array(
-        topo.graph, nodelist=nodes, weight=None, format="csr"
-    )
-    return nodes, index, adjacency
-
-
-def _dag_enumerate(u, v, next_hops, cap: int):
-    """DFS the shortest-path DAG from ``u`` toward ``v``.
-
-    Returns ``(paths, weights, truncated)`` where each weight is the
-    per-hop hash probability of its path (product of 1/outdegree). The
-    weights of a complete enumeration sum to exactly 1.
-    """
-    paths: list = []
-    weights: list = []
-    truncated = False
-    stack = [((u,), 1.0)]
-    while stack:
-        path, prob = stack.pop()
-        node = path[-1]
-        if node == v:
-            paths.append(path)
-            weights.append(prob)
-            if len(paths) >= cap:
-                truncated = bool(stack)
-                break
-            continue
-        hops = next_hops(node)
-        share = prob / len(hops)
-        for nxt in reversed(hops):
-            stack.append((path + (nxt,), share))
-    return paths, weights, truncated
-
-
 def _ecmp_dag_sets(topo: Topology, pairs: tuple, k: int):
     """Equal-cost path sets with hash weights, batched by destination."""
-    import numpy as np
-    from scipy.sparse import csgraph
-
-    nodes, index, adjacency = _graph_arrays(topo)
-    nbrs = {node: sorted(topo.neighbors(node), key=repr) for node in nodes}
+    index = {node: i for i, node in enumerate(topo.switches)}
+    nbrs = {node: sorted(topo.neighbors(node), key=repr) for node in index}
     by_dest: dict = {}
     for u, v in pairs:
         by_dest.setdefault(v, []).append(u)
     dests = sorted(by_dest, key=repr)
-    dest_rows = np.fromiter(
-        (index[v] for v in dests), dtype=np.int64, count=len(dests)
-    )
     out: dict = {}
     truncated_pairs = 0
-    chunk = 256
-    for start in range(0, len(dests), chunk):
-        batch = dest_rows[start : start + chunk]
-        distances = csgraph.dijkstra(adjacency, unweighted=True, indices=batch)
-        for offset, dest in enumerate(dests[start : start + chunk]):
-            dist = distances[offset]
-
-            def next_hops(node, dist=dist):
-                return [
-                    b for b in nbrs[node]
-                    if dist[index[b]] == dist[index[node]] - 1
-                ]
-
-            for u in by_dest[dest]:
-                if not np.isfinite(dist[index[u]]):
-                    raise TopologyError(
-                        f"pair {u!r}->{dest!r} has no path in {topo.name!r}"
-                    )
-                paths, weights, truncated = _dag_enumerate(
-                    u, dest, next_hops, k
+    for dest, dist in zip(dests, hop_rows(topo, dests)):
+        next_hops = _closer_neighbors(index, dist, nbrs.__getitem__)
+        for u in by_dest[dest]:
+            if not math.isfinite(dist[index[u]]):
+                raise TopologyError(
+                    f"pair {u!r}->{dest!r} has no path in {topo.name!r}"
                 )
-                if truncated:
-                    truncated_pairs += 1
-                    total = sum(weights)
-                    weights = [w / total for w in weights]
-                out[(u, dest)] = (tuple(paths), tuple(weights))
+            paths, weights, truncated = _dag_enumerate(u, dest, next_hops, k)
+            if truncated:
+                truncated_pairs += 1
+                total = sum(weights)
+                weights = [w / total for w in weights]
+            out[(u, dest)] = (tuple(paths), tuple(weights))
     return out, truncated_pairs
 
 
@@ -336,13 +286,13 @@ def _ecmp_enum_sets(topo: Topology, pairs: tuple, k: int):
 
     This is the packet simulator's historical path pool, preserved
     byte-for-byte so route-table-backed runs reproduce the direct ones.
+    Each source's hop row comes from :func:`hop_rows`.
     """
-    from repro.metrics.paths import all_shortest_paths
-
+    index = {node: i for i, node in enumerate(topo.switches)}
     out: dict = {}
     truncated_pairs = 0
-    for u, v in pairs:
-        pool = [tuple(p) for p in all_shortest_paths(topo, u, v, limit=k)]
+    for (u, v), dist in zip(pairs, hop_rows(topo, (u for u, _ in pairs))):
+        pool = _walk_shortest_paths(topo, index, dist, u, v, k)
         if not pool:
             raise TopologyError(
                 f"pair {u!r}->{v!r} has no path in {topo.name!r}"
@@ -372,53 +322,30 @@ def _neighbor_detours(topo: Topology, pairs, k: int, found: dict, seen: dict):
     ``(shortest u..w') -> w' -> v``. Jitter alone starves short pairs —
     a direct edge wins nearly every jittered tree — while these detours
     are exactly the next-shortest alternatives MPTCP subflows would use.
-    One batched Dijkstra over all endpoint nodes covers every candidate.
+    One hop row per endpoint node covers every candidate.
     """
-    import numpy as np
-    from scipy.sparse import csgraph
-
     pending = [pair for pair in pairs if len(found[pair]) < k]
     if not pending:
         return
-    nodes, index, adjacency = _graph_arrays(topo)
-    nbrs = {node: sorted(topo.neighbors(node), key=repr) for node in nodes}
+    index = {node: i for i, node in enumerate(topo.switches)}
+    nbrs = {node: sorted(topo.neighbors(node), key=repr) for node in index}
     targets = sorted(
         {u for u, _ in pending} | {v for _, v in pending}, key=repr
     )
-    rows = np.fromiter(
-        (index[t] for t in targets), dtype=np.int64, count=len(targets)
-    )
-    dist_to: dict = {}
-    chunk = 256
-    for start in range(0, len(targets), chunk):
-        batch = rows[start : start + chunk]
-        distances = csgraph.dijkstra(adjacency, unweighted=True, indices=batch)
-        for offset, target in enumerate(targets[start : start + chunk]):
-            dist_to[target] = distances[offset]
-
-    def hops_toward(target):
-        dist = dist_to[target]
-
-        def next_hops(node):
-            return [
-                b for b in nbrs[node]
-                if dist[index[b]] == dist[index[node]] - 1
-            ]
-
-        return next_hops
+    dist_to = dict(zip(targets, hop_rows(topo, targets)))
 
     for u, v in pending:
         candidates: list = []
-        toward_v = hops_toward(v)
+        toward_v = _closer_neighbors(index, dist_to[v], nbrs.__getitem__)
         for w in nbrs[u]:
-            if w == v or not np.isfinite(dist_to[v][index[w]]):
+            if w == v or not math.isfinite(dist_to[v][index[w]]):
                 continue
             tail = _first_dag_path(w, v, toward_v, avoid=u)
             if tail is not None:
                 candidates.append((u,) + tail)
-        toward_u = hops_toward(u)
+        toward_u = _closer_neighbors(index, dist_to[u], nbrs.__getitem__)
         for w in nbrs[v]:
-            if w == u or not np.isfinite(dist_to[u][index[w]]):
+            if w == u or not math.isfinite(dist_to[u][index[w]]):
                 continue
             head = _first_dag_path(w, u, toward_u, avoid=v)
             if head is not None:
@@ -464,8 +391,9 @@ def _ksp_tree_sets(topo: Topology, pairs: tuple, k: int, topo_fp: str):
     seen: dict = {pair: set(found[pair]) for pair in pairs}
     _neighbor_detours(topo, pairs, k, found, seen)
 
-    nodes, index, adjacency = _graph_arrays(topo)
-    base = adjacency.astype(np.float64)
+    nodes = topo.switches
+    index = {node: i for i, node in enumerate(nodes)}
+    base = topo.adjacency()
     rounds = max(MAX_DETOUR_ROUNDS, 4 * k)
     for round_no in range(1, rounds + 1):
         pending = [pair for pair in pairs if len(found[pair]) < k]
@@ -484,17 +412,12 @@ def _ksp_tree_sets(topo: Topology, pairs: tuple, k: int, topo_fp: str):
             (round_no - 1) % len(_JITTER_AMPLITUDES)
         ]
         jittered.data = 1.0 + amplitude * rng.random(jittered.nnz)
-        source_rows = np.fromiter(
-            (index[u] for u in sources), dtype=np.int64, count=len(sources)
-        )
-        chunk = 256
-        for start in range(0, len(sources), chunk):
-            batch = source_rows[start : start + chunk]
+        for start in range(0, len(sources), ROW_BATCH):
+            batch = sources[start : start + ROW_BATCH]
             _, predecessors = csgraph.dijkstra(
-                jittered, indices=batch, return_predecessors=True
+                jittered, indices=[index[u] for u in batch], return_predecessors=True
             )
-            for offset, u in enumerate(sources[start : start + chunk]):
-                pred_row = predecessors[offset]
+            for u, pred_row in zip(batch, predecessors):
                 for v in by_source[u]:
                     path = _extract_tree_path(pred_row, index, nodes, u, v)
                     if path is None or path in seen[(u, v)]:
@@ -512,8 +435,6 @@ def _ksp_tree_sets(topo: Topology, pairs: tuple, k: int, topo_fp: str):
 
 def _ksp_yen_sets(topo: Topology, pairs: tuple, k: int):
     """Exact Yen path sets, in Yen's native (length-sorted) order."""
-    from repro.metrics.paths import k_shortest_paths
-
     out: dict = {}
     for u, v in pairs:
         group = [tuple(p) for p in k_shortest_paths(topo, u, v, k)]

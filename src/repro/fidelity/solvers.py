@@ -40,19 +40,25 @@ from repro.util.hashing import stable_seed
 from repro.util.validation import check_positive_int
 
 
-def _prepare(topo, traffic, unreachable, label):
-    """Shared drop-policy preamble (mirrors the estimator scaffolding)."""
+def _prepare(topo, traffic, unreachable, label, error_band):
+    """Shared preamble (mirrors the estimator scaffolding): the band is
+    validated first, and ``short`` is the result when nothing is served."""
+    from repro.estimate.common import check_error_band
+
+    band = check_error_band(error_band)
     served, dropped, dropped_demand = resolve_unreachable(
         topo, traffic, unreachable
     )
     if dropped and not served.demands:
-        return served, dropped, dropped_demand, unserved_result(
+        short = unserved_result(
             topo, label, dropped, dropped_demand, exact=False
         )
+        short.error_band = band
+        return served, dropped, dropped_demand, band, short
     if not served.demands:
         raise FlowError("traffic matrix has no network demands")
     served.validate_against(topo.switches)
-    return served, dropped, dropped_demand, None
+    return served, dropped, dropped_demand, band, None
 
 
 def _unit_flows(units: float) -> "tuple[int, float]":
@@ -67,11 +73,9 @@ def _finish(
     label: str,
     dropped: tuple,
     dropped_demand: float,
-    error_band,
+    band,
     truncated: int,
 ) -> ThroughputResult:
-    from repro.estimate.common import check_error_band
-
     return ThroughputResult(
         throughput=outcome.throughput,
         arc_flows=outcome.arc_flows,
@@ -82,7 +86,7 @@ def _finish(
         dropped_pairs=tuple(dropped),
         dropped_demand=dropped_demand,
         truncated_pairs=truncated,
-        error_band=check_error_band(error_band),
+        error_band=band,
     )
 
 
@@ -107,8 +111,8 @@ def sim_ecmp(
 
     check_positive_int(paths, "paths")
     label = f"sim-ecmp-{paths}"
-    served, dropped, dropped_demand, short = _prepare(
-        topo, traffic, unreachable, label
+    served, dropped, dropped_demand, band, short = _prepare(
+        topo, traffic, unreachable, label, error_band
     )
     if short is not None:
         return short
@@ -133,7 +137,7 @@ def sim_ecmp(
             flows.append(FluidFlow(pair=pair, weight=weight, paths=(group[int(pick)],)))
     outcome = simulate_fluid(topo, flows, server_capacity=server_capacity)
     return _finish(
-        outcome, served, label, dropped, dropped_demand, error_band,
+        outcome, served, label, dropped, dropped_demand, band,
         routes.truncated,
     )
 
@@ -167,8 +171,8 @@ def sim_mptcp(
             f"unknown coupling {coupling!r}; known: balanced, uncoupled"
         )
     label = f"sim-mptcp-{subflows}"
-    served, dropped, dropped_demand, short = _prepare(
-        topo, traffic, unreachable, label
+    served, dropped, dropped_demand, band, short = _prepare(
+        topo, traffic, unreachable, label, error_band
     )
     if short is not None:
         return short
@@ -188,6 +192,6 @@ def sim_mptcp(
         balance_rounds=BALANCE_ROUNDS if coupling == "balanced" else 0,
     )
     return _finish(
-        outcome, served, label, dropped, dropped_demand, error_band,
+        outcome, served, label, dropped, dropped_demand, band,
         routes.truncated,
     )

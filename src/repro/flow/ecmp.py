@@ -21,10 +21,12 @@ graphs — the Jellyfish finding that motivated MPTCP over k-shortest paths).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.exceptions import FlowError
 from repro.flow.reachability import resolve_unreachable, unserved_result
 from repro.flow.result import ThroughputResult
-from repro.metrics.paths import all_shortest_paths, shortest_path_lengths_from
+from repro.metrics.paths import _closer_neighbors, _walk_shortest_paths, hop_rows
 from repro.topology.base import Topology
 from repro.traffic.base import TrafficMatrix
 from repro.util.validation import check_positive_int
@@ -103,31 +105,34 @@ def _accumulate_per_hop(
     topo: Topology, traffic: TrafficMatrix, loads: dict
 ) -> None:
     """Per-destination equal next-hop splitting (true ECMP fixed point)."""
+    nodes = topo.switches
+    index = {node: i for i, node in enumerate(nodes)}
     by_destination: dict = {}
     for (u, v), units in traffic.demands.items():
         by_destination.setdefault(v, {})[u] = units
-    for destination, sources in by_destination.items():
-        dist = shortest_path_lengths_from(topo, destination)
+    for (destination, sources), row in zip(
+        by_destination.items(), hop_rows(topo, list(by_destination))
+    ):
+        dist = row.tolist()
         arrived: dict = {}
         for source, units in sources.items():
-            if source not in dist:
+            if dist[index[source]] == np.inf:
                 raise FlowError(
                     f"demand {source!r}->{destination!r} has no path"
                 )
             arrived[source] = arrived.get(source, 0.0) + float(units)
         # The shortest-path DAG toward `destination` only has arcs from
         # farther nodes to strictly closer ones, so one pass over nodes in
-        # decreasing distance order sees all of a node's incoming mass
-        # before splitting it across its next hops.
-        for node in sorted(dist, key=lambda n: -dist[n]):
+        # decreasing distance order (ties in `switches` order) sees all
+        # of a node's incoming mass before splitting it across its next
+        # hops. Unreachable nodes sort first and never hold mass.
+        next_hops_of = _closer_neighbors(index, dist, topo.neighbors)
+        for i in np.argsort(-row, kind="stable").tolist():
+            node = nodes[i]
             amount = arrived.get(node, 0.0)
             if amount <= 0 or node == destination:
                 continue
-            next_hops = [
-                neighbor
-                for neighbor in topo.neighbors(node)
-                if dist.get(neighbor, float("inf")) == dist[node] - 1
-            ]
+            next_hops = next_hops_of(node)
             share = amount / len(next_hops)
             for neighbor in next_hops:
                 loads[(node, neighbor)] += share
@@ -144,9 +149,12 @@ def _accumulate_per_path(
     number of pairs whose shortest-path set exceeded ``max_paths`` (their
     demand splits over the first ``max_paths`` enumerated paths only).
     """
+    index = {node: i for i, node in enumerate(topo.switches)}
     truncated = 0
-    for (u, v), units in traffic.demands.items():
-        paths = list(all_shortest_paths(topo, u, v, limit=max_paths + 1))
+    for ((u, v), units), dist in zip(
+        traffic.demands.items(), hop_rows(topo, (u for u, _ in traffic.demands))
+    ):
+        paths = _walk_shortest_paths(topo, index, dist, u, v, max_paths + 1)
         if not paths:
             raise FlowError(f"demand {u!r}->{v!r} has no path")
         if len(paths) > max_paths:

@@ -196,6 +196,7 @@ register_solver(
     ecmp_throughput,
     description="fluid ECMP over equal-cost shortest paths",
     exact=False,
+    revision=1,
 )
 
 

@@ -7,9 +7,9 @@ from repro.metrics.paths import (
     demand_hop_sum,
     demand_weighted_aspl,
     diameter,
+    hop_distances,
     k_shortest_paths,
     path_length_histogram,
-    shortest_path_lengths_from,
 )
 from repro.metrics.cuts import (
     bisection_bandwidth,
@@ -34,9 +34,9 @@ __all__ = [
     "demand_hop_sum",
     "demand_weighted_aspl",
     "diameter",
+    "hop_distances",
     "k_shortest_paths",
     "path_length_histogram",
-    "shortest_path_lengths_from",
     "IncrementalASPL",
     "SwapEvaluation",
     "bisection_bandwidth",

@@ -99,11 +99,7 @@ class IncrementalASPL:
         self._nodes: list[NodeId] = list(nodes)
         self._index: dict[NodeId, int] = {v: i for i, v in enumerate(nodes)}
         n = len(nodes)
-        adjacency = np.zeros((n, n), dtype=np.float32)
-        for link in topo.links:
-            i, j = self._index[link.u], self._index[link.v]
-            adjacency[i, j] = 1.0
-            adjacency[j, i] = 1.0
+        adjacency = (topo.adjacency().toarray() > 0).astype(np.float32)
         dist = _bfs_rows(adjacency, np.arange(n))
         if int(dist.max()) >= n:
             raise TopologyError(

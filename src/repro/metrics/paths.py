@@ -2,12 +2,13 @@
 
 Path lengths are measured in switch-to-switch hops (link capacities do not
 affect distance), matching the paper's ``<D>`` and the Cerf et al. bound it
-is compared against. Whole-network metrics (ASPL, diameter, histogram)
-BFS from every switch; demand-weighted hop sums need only the demand
-pairs, whose distances come from one meet-in-the-middle kernel over
-sparse boolean balls. Includes a self-contained Yen's algorithm for the
-k-shortest simple paths used by the path-restricted LP and the MPTCP
-simulator.
+is compared against. Two kernels over
+:meth:`~repro.topology.base.Topology.adjacency` compute every distance:
+:func:`hop_rows` (csgraph BFS rows, for the whole-network metrics, ECMP
+and the route enumerators) and, for the demand pairs of hop sums, one
+meet-in-the-middle kernel over sparse boolean balls. Includes a
+self-contained Yen's algorithm for the k-shortest simple paths used by
+the path-restricted LP and the MPTCP simulator.
 """
 
 from __future__ import annotations
@@ -17,30 +18,79 @@ import math
 from collections import deque
 from typing import Iterator
 
+import numpy as np
+
 from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 from repro.traffic.base import TrafficMatrix
 from repro.util.validation import check_positive_int
 
+#: Most distinct sources per csgraph call, and per block of rows that
+#: :func:`hop_rows` holds at once.
+ROW_BATCH = 256
 
-def shortest_path_lengths_from(topo: Topology, source) -> dict:
-    """Hop distances from ``source`` to every reachable switch (BFS)."""
-    if source not in topo:
-        raise TopologyError(f"switch {source!r} does not exist")
-    dist = {source: 0}
-    frontier = deque([source])
-    while frontier:
-        node = frontier.popleft()
-        for neighbor in topo.neighbors(node):
-            if neighbor not in dist:
-                dist[neighbor] = dist[node] + 1
-                frontier.append(neighbor)
-    return dist
+
+def hop_distances(topo: Topology, sources) -> np.ndarray:
+    """Hop distances from each of ``sources`` to every switch.
+
+    Row ``i`` holds ``sources[i]``'s distances over ``topo.switches`` order
+    as floats, ``inf`` for a switch it cannot reach (see :func:`hop_rows`).
+    Raises :class:`TopologyError` naming an unknown source.
+    """
+    rows = list(hop_rows(topo, sources))
+    return np.array(rows) if rows else np.empty((0, topo.num_switches))
+
+
+def hop_rows(topo: Topology, sources) -> Iterator[np.ndarray]:
+    """Yield the :func:`hop_distances` row of each of ``sources``, in order.
+
+    Runs csgraph BFS over :meth:`Topology.adjacency`, one call per block
+    of consecutive sources holding at most :data:`ROW_BATCH` distinct
+    switches, so a walk over many sources holds one block of rows at a
+    time and a source repeated within its block costs no second row.
+    """
+    from scipy.sparse import csgraph
+
+    index = {node: i for i, node in enumerate(topo.switches)}
+    sources = list(sources)
+    for source in sources:
+        if source not in index:
+            raise TopologyError(f"switch {source!r} does not exist")
+    start, count = 0, len(sources)
+    while start < count:
+        block: dict = {}
+        stop = start
+        while stop < count and (sources[stop] in block or len(block) < ROW_BATCH):
+            block.setdefault(sources[stop], len(block))
+            stop += 1
+        indices = [index[source] for source in block]
+        rows = csgraph.dijkstra(topo.adjacency(), unweighted=True, indices=indices)
+        for source in sources[start:stop]:
+            yield rows[block[source]]
+        start = stop
+
+
+def _connected_rows(topo: Topology, metric: str) -> Iterator[np.ndarray]:
+    """Every switch's hop row; raises if the network is disconnected or
+    has fewer than 2 switches, where ``metric`` is undefined."""
+    nodes = topo.switches
+    if len(nodes) < 2:
+        raise TopologyError(f"{metric} is undefined for fewer than 2 switches")
+    for row in hop_rows(topo, nodes):
+        if not np.isfinite(row).all():
+            raise TopologyError(
+                f"topology {topo.name!r} is disconnected; {metric} undefined"
+            )
+        yield row
 
 
 def all_pairs_shortest_lengths(topo: Topology) -> dict:
     """Mapping node -> {node -> hop distance} over reachable pairs."""
-    return {v: shortest_path_lengths_from(topo, v) for v in topo.switches}
+    nodes = topo.switches
+    return {
+        source: {nodes[j]: int(d) for j, d in enumerate(row.tolist()) if d != math.inf}
+        for source, row in zip(nodes, hop_rows(topo, nodes))
+    }
 
 
 def average_shortest_path_length(topo: Topology) -> float:
@@ -49,47 +99,23 @@ def average_shortest_path_length(topo: Topology) -> float:
     Raises :class:`TopologyError` on disconnected or single-switch networks,
     where the quantity is undefined.
     """
-    nodes = topo.switches
-    if len(nodes) < 2:
-        raise TopologyError("ASPL is undefined for fewer than 2 switches")
-    total = 0
-    count = 0
-    for source in nodes:
-        dist = shortest_path_lengths_from(topo, source)
-        if len(dist) != len(nodes):
-            raise TopologyError(
-                f"topology {topo.name!r} is disconnected; ASPL undefined"
-            )
-        total += sum(dist.values())
-        count += len(nodes) - 1
-    return total / count
+    total = sum(int(row.sum()) for row in _connected_rows(topo, "ASPL"))
+    n = topo.num_switches
+    return total / (n * (n - 1))
 
 
 def diameter(topo: Topology) -> int:
     """Longest shortest-path distance between any switch pair."""
-    nodes = topo.switches
-    if len(nodes) < 2:
-        raise TopologyError("diameter is undefined for fewer than 2 switches")
-    worst = 0
-    for source in nodes:
-        dist = shortest_path_lengths_from(topo, source)
-        if len(dist) != len(nodes):
-            raise TopologyError(
-                f"topology {topo.name!r} is disconnected; diameter undefined"
-            )
-        worst = max(worst, max(dist.values()))
-    return worst
+    return max(int(row.max()) for row in _connected_rows(topo, "diameter"))
 
 
 def path_length_histogram(topo: Topology) -> dict[int, int]:
     """Mapping hop distance -> number of ordered switch pairs at it."""
     hist: dict[int, int] = {}
-    for source in topo.switches:
-        dist = shortest_path_lengths_from(topo, source)
-        for node, d in dist.items():
-            if node == source:
-                continue
-            hist[d] = hist.get(d, 0) + 1
+    for row in hop_rows(topo, topo.switches):
+        hops, counts = np.unique(row[np.isfinite(row) & (row > 0)], return_counts=True)
+        for d, count in zip(hops.tolist(), counts.tolist()):
+            hist[int(d)] = hist.get(int(d), 0) + count
     return dict(sorted(hist.items()))
 
 
@@ -109,31 +135,16 @@ PAIR_BATCH = 4096
 
 
 def _reach_matrix(topo: Topology):
-    """Boolean CSR of ``A + I`` over ``topo.switches`` order.
-
-    One product with it grows every row's ball by one hop. The adjacency
-    comes from the active :func:`~repro.estimate.batch.shared_artifacts`
-    store when there is one, so a batch's backends build it once.
-    """
-    import networkx as nx
+    """Boolean CSR of ``A + I``: one product grows each row's ball a hop."""
     from scipy import sparse
 
-    from repro.estimate.batch import active_artifacts
-
-    store = active_artifacts()
-    if store is not None:
-        adjacency = store.csr_adjacency(topo)
-    else:
-        adjacency = nx.to_scipy_sparse_array(
-            topo.graph, nodelist=topo.switches, weight=None, format="csr"
-        )
+    adjacency = topo.adjacency()
     identity = sparse.eye_array(adjacency.shape[0], format="csr", dtype=bool)
     return adjacency.astype(bool) + identity
 
 
 def _point_balls(rows, num_nodes: int):
     """One radius-0 ball per entry of ``rows``: row ``i`` holds ``rows[i]``."""
-    import numpy as np
     from scipy import sparse
 
     return sparse.csr_array(
@@ -155,7 +166,6 @@ def _pair_distances(reach, heads, tails):
     :data:`PAIR_BATCH`, and each round keeps only unresolved pairs'
     balls, which bounds memory.
     """
-    import numpy as np
 
     dist = np.where(heads == tails, 0.0, np.inf)
     num_nodes = reach.shape[0]
@@ -183,7 +193,6 @@ def _pair_distances(reach, heads, tails):
 
 def _node_rows(index: dict, nodes):
     """Row numbers of ``nodes`` under ``index`` as an int64 array."""
-    import numpy as np
 
     return np.fromiter((index[node] for node in nodes), dtype=np.int64)
 
@@ -412,32 +421,74 @@ def all_shortest_paths(
 ) -> Iterator[list]:
     """Enumerate every shortest path from ``source`` to ``target`` (ECMP set).
 
-    Builds the BFS predecessor DAG and walks it; ``limit`` truncates the
-    enumeration (shortest-path counts can grow exponentially).
+    Walks the BFS predecessor DAG back from ``target``; ``limit``
+    truncates the enumeration (shortest-path counts can grow
+    exponentially).
     """
     for node in (source, target):
         if node not in topo:
             raise TopologyError(f"switch {node!r} does not exist")
     if source == target:
         raise TopologyError("source and target must differ")
-    dist = shortest_path_lengths_from(topo, source)
-    if target not in dist:
-        return
-    predecessors: dict = {}
-    for v in dist:
-        predecessors[v] = [
-            u for u in topo.neighbors(v) if dist.get(u, -1) == dist[v] - 1
-        ]
+    index = {node: i for i, node in enumerate(topo.switches)}
+    (dist,) = hop_rows(topo, [source])
+    for path in _walk_shortest_paths(topo, index, dist, source, target, limit):
+        yield list(path)
 
-    emitted = 0
-    stack = [(target, [target])]
+
+def _dag_enumerate(start, stop, next_hops, cap):
+    """Depth-first walk of a shortest-path DAG from ``start`` to ``stop``.
+
+    ``next_hops(node)`` lists ``node``'s successors, which the walk takes
+    in that order. Returns ``(paths, weights, truncated)``: node tuples,
+    each path's per-hop hash probability (the product of 1/outdegree, so
+    a complete enumeration's weights sum to exactly 1), and whether the
+    walk stopped at ``cap`` paths with more left.
+    """
+    paths: list = []
+    weights: list = []
+    truncated = False
+    stack = [((start,), 1.0)]
     while stack:
-        node, suffix = stack.pop()
-        if node == source:
-            yield list(reversed(suffix))
-            emitted += 1
-            if limit is not None and emitted >= limit:
-                return
+        path, prob = stack.pop()
+        node = path[-1]
+        if node == stop:
+            paths.append(path)
+            weights.append(prob)
+            if len(paths) >= cap:
+                truncated = bool(stack)
+                break
             continue
-        for pred in predecessors[node]:
-            stack.append((pred, suffix + [pred]))
+        hops = next_hops(node)
+        share = prob / len(hops)
+        for nxt in reversed(hops):
+            stack.append((path + (nxt,), share))
+    return paths, weights, truncated
+
+
+def _closer_neighbors(index: dict, dist, neighbors):
+    """``next_hops(node)``: the ``neighbors(node)``, in that order, one hop
+    closer to the switch whose hop row over ``index`` is ``dist``."""
+
+    def next_hops(node):
+        closer = dist[index[node]] - 1
+        return [b for b in neighbors(node) if dist[index[b]] == closer]
+
+    return next_hops
+
+
+def _walk_shortest_paths(
+    topo: Topology, index: dict, dist, source, target, limit: "int | None"
+) -> list:
+    """Up to ``limit`` shortest ``source -> target`` node tuples, ``dist``
+    being ``source``'s hop row over ``index``: a walk back from ``target``
+    over each node's predecessors in reverse ``topo.neighbors`` order."""
+    if dist[index[target]] == math.inf:
+        return []
+    predecessors = _closer_neighbors(
+        index, dist, lambda node: topo.neighbors(node)[::-1]
+    )
+    paths, _, _ = _dag_enumerate(
+        target, source, predecessors, math.inf if limit is None else limit
+    )
+    return [path[::-1] for path in paths]

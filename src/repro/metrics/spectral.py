@@ -14,16 +14,29 @@ from repro.exceptions import TopologyError
 from repro.topology.base import Topology
 
 
-def _adjacency_matrix(topo: Topology, weighted: bool = False) -> tuple[np.ndarray, list]:
-    nodes = topo.switches
-    index = {v: i for i, v in enumerate(nodes)}
-    matrix = np.zeros((len(nodes), len(nodes)))
-    for link in topo.links:
-        weight = link.capacity if weighted else 1.0
-        i, j = index[link.u], index[link.v]
-        matrix[i, j] = weight
-        matrix[j, i] = weight
-    return matrix, nodes
+def _adjacency(topo: Topology, weighted: bool):
+    """:meth:`Topology.adjacency`, or its structure with every entry 1.0."""
+    from scipy import sparse
+
+    adjacency = topo.adjacency()
+    if weighted:
+        return adjacency
+    return sparse.csr_array(
+        (np.ones(adjacency.nnz), adjacency.indices, adjacency.indptr),
+        shape=adjacency.shape,
+    )
+
+
+def _dense_laplacian(topo: Topology, weighted: bool) -> np.ndarray:
+    matrix = _adjacency(topo, weighted).toarray()
+    return np.diag(matrix.sum(axis=1)) - matrix
+
+
+def _dense_fiedler_pair(topo: Topology, weighted: bool) -> "tuple[float, np.ndarray]":
+    """(lambda_2, Fiedler vector) by LAPACK on the dense Laplacian."""
+    eigenvalues, eigenvectors = np.linalg.eigh(_dense_laplacian(topo, weighted))
+    order = np.argsort(eigenvalues)
+    return float(eigenvalues[order[1]]), eigenvectors[:, order[1]]
 
 
 def adjacency_spectral_gap(topo: Topology, weighted: bool = False) -> float:
@@ -33,7 +46,7 @@ def adjacency_spectral_gap(topo: Topology, weighted: bool = False) -> float:
     """
     if topo.num_switches < 2:
         raise TopologyError("spectral gap needs at least 2 switches")
-    matrix, _ = _adjacency_matrix(topo, weighted=weighted)
+    matrix = _adjacency(topo, weighted).toarray()
     eigenvalues = np.sort(np.linalg.eigvalsh(matrix))[::-1]
     return float(eigenvalues[0] - eigenvalues[1])
 
@@ -42,7 +55,7 @@ def second_largest_adjacency_eigenvalue_magnitude(topo: Topology) -> float:
     """λ = max(|λ2|, |λn|) — the mixing-lemma eigenvalue."""
     if topo.num_switches < 2:
         raise TopologyError("needs at least 2 switches")
-    matrix, _ = _adjacency_matrix(topo)
+    matrix = _adjacency(topo, weighted=False).toarray()
     eigenvalues = np.sort(np.linalg.eigvalsh(matrix))[::-1]
     return float(max(abs(eigenvalues[1]), abs(eigenvalues[-1])))
 
@@ -51,10 +64,7 @@ def algebraic_connectivity(topo: Topology, weighted: bool = True) -> float:
     """Second-smallest Laplacian eigenvalue (Fiedler value)."""
     if topo.num_switches < 2:
         raise TopologyError("algebraic connectivity needs at least 2 switches")
-    matrix, _ = _adjacency_matrix(topo, weighted=weighted)
-    degrees = matrix.sum(axis=1)
-    laplacian = np.diag(degrees) - matrix
-    eigenvalues = np.sort(np.linalg.eigvalsh(laplacian))
+    eigenvalues = np.sort(np.linalg.eigvalsh(_dense_laplacian(topo, weighted)))
     return float(eigenvalues[1])
 
 
@@ -66,13 +76,8 @@ def fiedler_vector(topo: Topology, weighted: bool = True) -> dict:
     """
     if topo.num_switches < 2:
         raise TopologyError("Fiedler vector needs at least 2 switches")
-    matrix, nodes = _adjacency_matrix(topo, weighted=weighted)
-    degrees = matrix.sum(axis=1)
-    laplacian = np.diag(degrees) - matrix
-    eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
-    order = np.argsort(eigenvalues)
-    vector = eigenvectors[:, order[1]]
-    return {node: float(vector[i]) for i, node in enumerate(nodes)}
+    _, vector = _dense_fiedler_pair(topo, weighted)
+    return {node: float(vector[i]) for i, node in enumerate(topo.switches)}
 
 
 def expander_mixing_deviation(topo: Topology, side_s: set, side_t: set) -> dict:
@@ -128,7 +133,6 @@ def _sparse_fiedler_pair(
     depend on ARPACK's arbitrary sign. Dense fallback at or below
     :data:`SPARSE_SPECTRAL_THRESHOLD` switches.
     """
-    import networkx as nx
     from scipy import sparse
     from scipy.sparse.linalg import eigsh
 
@@ -136,23 +140,8 @@ def _sparse_fiedler_pair(
         raise TopologyError("Fiedler pair needs at least 2 switches")
     nodes = topo.switches
     if topo.num_switches <= SPARSE_SPECTRAL_THRESHOLD:
-        matrix, _ = _adjacency_matrix(topo, weighted=weighted)
-        degrees = matrix.sum(axis=1)
-        laplacian = np.diag(degrees) - matrix
-        eigenvalues, eigenvectors = np.linalg.eigh(laplacian)
-        order = np.argsort(eigenvalues)
-        return (
-            float(eigenvalues[order[1]]),
-            eigenvectors[:, order[1]],
-            nodes,
-        )
-    adjacency = nx.to_scipy_sparse_array(
-        topo.graph,
-        nodelist=nodes,
-        weight="capacity" if weighted else None,
-        format="csr",
-        dtype=float,
-    )
+        return (*_dense_fiedler_pair(topo, weighted), nodes)
+    adjacency = _adjacency(topo, weighted)
     degrees = np.asarray(adjacency.sum(axis=1)).ravel()
     laplacian = sparse.diags(degrees) - adjacency
     # A fixed start vector keeps ARPACK deterministic: without v0 it
@@ -217,7 +206,7 @@ def cheeger_bounds(topo: Topology) -> tuple[float, float]:
     if len(degrees) != 1:
         raise TopologyError("Cheeger bounds require a regular graph")
     d = degrees.pop()
-    matrix, _ = _adjacency_matrix(topo)
+    matrix = _adjacency(topo, weighted=False).toarray()
     eigenvalues = np.sort(np.linalg.eigvalsh(matrix))[::-1]
     lambda2 = float(eigenvalues[1])
     gap = d - lambda2

@@ -185,6 +185,11 @@ class DegradedTopology(Topology):
         )
 
     @property
+    def _version(self) -> int:
+        # The view reads its base live: the base's mutations are its own.
+        return self.base._version
+
+    @property
     def num_failed_links(self) -> int:
         """Directly failed links (links lost to switch failures excluded)."""
         return len(self.failed_links)

@@ -4,9 +4,10 @@ The socket speaks JSON lines to one :class:`~repro.service.core.EvalService`.
 Each request is one JSON object on one line; ``submit`` answers with a
 stream of events (``accepted``, one ``cell`` per solved cell *as it
 solves*, then ``done`` with solve counts), everything else with a
-single object. A line that is not a JSON object gets an ``error`` reply
-and the connection stays open. One connection handles one request at a
-time; clients open a connection per concurrent query.
+single object. A line that is not a JSON object, or is longer than
+:data:`REQUEST_LINE_LIMIT`, gets an ``error`` reply and the connection
+stays open. One connection handles one request at a time; clients open
+a connection per concurrent query.
 
 Scheduler callbacks run on the dispatcher thread; they cross into
 asyncio via ``loop.call_soon_threadsafe`` onto a per-request queue, so
@@ -36,9 +37,39 @@ from repro.service.core import EvalService
 #: Event names a ``submit`` stream may carry, in order of appearance.
 SUBMIT_EVENTS = ("accepted", "cell", "done", "error")
 
+#: Longest request line the socket reads, in bytes. asyncio's default,
+#: 64 KiB, is shorter than a ``submit`` of a large grid.
+REQUEST_LINE_LIMIT = 16 * 1024 * 1024
+
 
 def _encode(message: dict) -> bytes:
     return (json.dumps(message) + "\n").encode("utf-8")
+
+
+async def _next_request(reader) -> "dict | str | None":
+    """The next request object, the error to answer a bad line with, or
+    ``None`` at end of stream. A line over the reader's limit is consumed
+    through its newline, so the request after it reads cleanly."""
+    over_limit = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            over_limit = True
+            continue
+        break
+    if over_limit:
+        return f"request line longer than {REQUEST_LINE_LIMIT} bytes"
+    if not line:
+        return None
+    try:
+        request = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return f"bad JSON: {exc}"
+    return request if isinstance(request, dict) else "request is not a JSON object"
 
 
 async def _send(writer, message: dict) -> None:
@@ -69,7 +100,7 @@ class EvalDaemon:
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
         self._server = await asyncio.start_unix_server(
-            self._handle_socket, path=self.socket_path
+            self._handle_socket, path=self.socket_path, limit=REQUEST_LINE_LIMIT
         )
 
     async def serve_forever(self) -> None:
@@ -97,25 +128,11 @@ class EvalDaemon:
 
     async def _handle_socket(self, reader, writer) -> None:
         try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    await _send(
-                        writer,
-                        {"event": "error", "error": f"bad JSON: {exc}"},
-                    )
-                    continue
-                if not isinstance(request, dict):
-                    await _send(
-                        writer,
-                        {"event": "error", "error": "request is not a JSON object"},
-                    )
-                    continue
-                await self._dispatch(request, writer)
+            while (request := await _next_request(reader)) is not None:
+                if isinstance(request, str):
+                    await _send(writer, {"event": "error", "error": request})
+                else:
+                    await self._dispatch(request, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:

@@ -62,6 +62,11 @@ class Topology:
     (self-loops, unknown endpoints, non-positive capacities).
     """
 
+    #: Structural mutations so far, and the :meth:`adjacency` memo as
+    #: ``(version, matrix)``; a degraded view reads its base's version.
+    _version = 0
+    _adjacency: "tuple | None" = None
+
     def __init__(self, name: str = "topology") -> None:
         self.name = str(name)
         self._graph = nx.Graph()
@@ -88,6 +93,7 @@ class Topology:
         self._graph.add_node(
             node, servers=servers, cluster=cluster, switch_type=switch_type
         )
+        self._version += 1
 
     def add_link(self, u: NodeId, v: NodeId, capacity: float = 1.0) -> None:
         """Add a link of the given capacity between existing switches.
@@ -102,15 +108,18 @@ class Topology:
                 raise TopologyError(f"switch {node!r} does not exist")
         capacity = check_positive(capacity, "capacity")
         if self._graph.has_edge(u, v):
-            self._graph[u][v]["capacity"] += capacity
-        else:
-            self._graph.add_edge(u, v, capacity=capacity)
+            capacity += self._graph[u][v]["capacity"]
+        # add_edge, not the shared data dict: a frozen view must raise
+        # rather than change its base behind the base's adjacency memo.
+        self._graph.add_edge(u, v, capacity=capacity)
+        self._version += 1
 
     def remove_link(self, u: NodeId, v: NodeId) -> None:
         """Remove the link between ``u`` and ``v`` entirely."""
         if not self._graph.has_edge(u, v):
             raise TopologyError(f"no link between {u!r} and {v!r}")
         self._graph.remove_edge(u, v)
+        self._version += 1
 
     def set_servers(self, node: NodeId, servers: int) -> None:
         """Set the number of servers attached to ``node``."""
@@ -280,6 +289,23 @@ class Topology:
     # ------------------------------------------------------------------
     # Conversion / copying
     # ------------------------------------------------------------------
+    def adjacency(self):
+        """The capacity-weighted CSR adjacency over :attr:`switches` order.
+
+        Entry ``(i, j)`` is the float capacity of the link between
+        ``switches[i]`` and ``switches[j]``. Every array consumer of the
+        switch graph reads this one matrix (hop distances, the spectral
+        measures, the route enumerators), so treat it as read-only. It
+        is built on first use and rebuilt after ``add_switch``,
+        ``add_link`` or ``remove_link``.
+        """
+        if self._adjacency is None or self._adjacency[0] != self._version:
+            matrix = nx.to_scipy_sparse_array(
+                self._graph, self.switches, weight="capacity", dtype=float, format="csr"
+            )
+            self._adjacency = (self._version, matrix)
+        return self._adjacency[1]
+
     def to_networkx(self) -> nx.Graph:
         """Return an independent :class:`networkx.Graph` copy."""
         return self._graph.copy()

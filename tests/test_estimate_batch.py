@@ -15,7 +15,9 @@ import os
 import subprocess
 import sys
 import textwrap
+from unittest import mock
 
+import networkx
 import numpy as np
 import pytest
 
@@ -74,17 +76,20 @@ class TestSharedArtifacts:
         store.fiedler_pair(topo, weighted=False)
         assert store.stats["fiedler_solves"] == 2
 
-    def test_csr_memoized_once(self, instance):
-        topo, _ = instance
-        store = SharedArtifacts()
-        first = store.csr_adjacency(topo)
-        assert store.csr_adjacency(topo) is first
-        assert store.stats == {
-            "fiedler_solves": 0,
-            "fiedler_hits": 0,
-            "csr_builds": 1,
-            "csr_hits": 1,
-        }
+    def test_ladder_converts_the_topology_once(self, instance):
+        """``bound``'s pair kernel and the Fiedler solve read one
+        :meth:`Topology.adjacency`: one networkx conversion per instance."""
+        topo, traffic = instance
+        fresh = topo.copy()
+        convert = networkx.to_scipy_sparse_array
+        with mock.patch.object(
+            networkx, "to_scipy_sparse_array", side_effect=convert
+        ) as spy:
+            store = SharedArtifacts()
+            run_ladder(fresh, traffic, store=store)
+            run_ladder(fresh, traffic, store=store)
+        assert spy.call_count == 1
+        assert store.stats == {"fiedler_solves": 1, "fiedler_hits": 3}
 
     def test_scope_activates_and_restores(self):
         assert active_artifacts() is None

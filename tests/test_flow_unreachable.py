@@ -177,3 +177,63 @@ class TestSplitHelper:
         assert set(served.demands) == {("a", "b"), ("c", "d")}
         # Offered-workload bookkeeping is preserved.
         assert served.num_flows == mixed_traffic.num_flows
+
+
+def _band_backends() -> list:
+    import inspect
+
+    from repro.flow.solvers import get_solver
+
+    return [
+        name
+        for name in available_solvers()
+        if "error_band" in inspect.signature(get_solver(name).fn).parameters
+    ]
+
+
+def test_band_backends_include_every_estimator_and_simulation():
+    from repro.flow.solvers import get_solver
+
+    flagged = {
+        name
+        for name in available_solvers()
+        if get_solver(name).estimate or get_solver(name).simulation
+    }
+    assert flagged <= set(_band_backends())
+
+
+@pytest.mark.parametrize("backend", _band_backends())
+class TestUnservedErrorBand:
+    """A fully unserved result keeps the backend's band and estimate flag,
+    and a bad band is rejected before the drop policy runs."""
+
+    @pytest.fixture
+    def crossing(self):
+        return TrafficMatrix.from_server_pairs(
+            [
+                (("a", 0), ("c", 0)),
+                (("c", 0), ("a", 0)),
+                (("b", 0), ("d", 0)),
+                (("d", 0), ("b", 0)),
+            ],
+            name="crossing",
+        )
+
+    def test_band_and_estimate_flag_kept(self, split_topo, crossing, backend):
+        from repro.flow.solvers import get_solver
+
+        result = solve_throughput(
+            split_topo, crossing, backend, unreachable="drop",
+            error_band=(0.5, 2.0),
+        )
+        assert result.throughput == 0.0
+        assert result.served_fraction == 0.0
+        assert result.is_estimate == get_solver(backend).estimate
+        assert result.error_band == (0.5, 2.0)
+
+    def test_bad_band_rejected(self, split_topo, crossing, backend):
+        with pytest.raises(FlowError, match="error_band"):
+            solve_throughput(
+                split_topo, crossing, backend, unreachable="drop",
+                error_band=(2.0, 1.0),
+            )

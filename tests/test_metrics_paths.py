@@ -22,9 +22,10 @@ from repro.metrics.paths import (
     demand_hop_sum,
     demand_weighted_aspl,
     diameter,
+    hop_distances,
+    hop_rows,
     k_shortest_paths,
     path_length_histogram,
-    shortest_path_lengths_from,
 )
 from repro.topology import make_topology
 from repro.topology.base import Topology
@@ -36,11 +37,34 @@ from repro.traffic.base import TrafficMatrix
 
 class TestShortestLengths:
     def test_bfs_from_source(self, triangle):
-        assert shortest_path_lengths_from(triangle, 0) == {0: 0, 1: 1, 2: 1}
+        rows = hop_distances(triangle, [0])
+        assert rows.dtype == np.float64
+        np.testing.assert_array_equal(rows, [[0.0, 1.0, 1.0]])
 
     def test_unknown_source_rejected(self, triangle):
-        with pytest.raises(TopologyError, match="does not exist"):
-            shortest_path_lengths_from(triangle, "missing")
+        with pytest.raises(TopologyError, match="'missing' does not exist"):
+            hop_distances(triangle, [0, "missing"])
+
+    def test_unreachable_switches_are_inf(self):
+        topo = Topology.from_edges([(0, 1), (2, 3)])
+        np.testing.assert_array_equal(
+            hop_distances(topo, [1, 3]),
+            [[1.0, 0.0, np.inf, np.inf], [np.inf, np.inf, 1.0, 0.0]],
+        )
+
+    @pytest.mark.parametrize("batch", [paths_mod.ROW_BATCH, 2])
+    def test_rows_match_csgraph_in_any_batch(self, batch):
+        topo = random_regular_topology(30, 3, seed=2)
+        sources = topo.switches[::-1] + topo.switches[:3]
+        reference = csgraph.shortest_path(
+            _csgraph_adjacency(topo), unweighted=True
+        )
+        order = [topo.switches.index(s) for s in sources]
+        with mock.patch.object(paths_mod, "ROW_BATCH", batch):
+            rows = hop_distances(topo, sources)
+            walked = list(hop_rows(topo, sources))
+        np.testing.assert_array_equal(rows, reference[order])
+        np.testing.assert_array_equal(np.array(walked), reference[order])
 
     def test_matches_networkx(self):
         topo = random_regular_topology(16, 4, seed=5)

@@ -88,7 +88,13 @@ class TestFingerprints:
 
     @pytest.mark.parametrize(
         "name",
-        ["edge_lp", "estimate_cut", "estimate_sampled_lp", "estimate_spectral"],
+        [
+            "ecmp",
+            "edge_lp",
+            "estimate_cut",
+            "estimate_sampled_lp",
+            "estimate_spectral",
+        ],
     )
     def test_revised_backend_gets_a_new_key(self, name):
         assert get_solver(name).revision == 1

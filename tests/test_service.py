@@ -44,7 +44,7 @@ class TestGridMemo:
 
     def test_digest_follows_solver_revisions(self):
         """Revised backends change the digest; revision-0 grids keep theirs."""
-        plain = small_grid()
+        plain = small_grid(solvers=(SolverConfig("path_lp"),))
         assert grid_digest(plain) == stable_digest(
             {"kind": GRID_MEMO_KIND, "grid": plain.to_dict(), "batch": True}
         )
@@ -148,6 +148,19 @@ class TestGridMemo:
 @pytest.fixture
 def daemon(tmp_path):
     """A live daemon on a unix socket, torn down via shutdown request."""
+    yield from _live_daemon(tmp_path)
+
+
+@pytest.fixture
+def small_limit_daemon(tmp_path, monkeypatch):
+    """A live daemon whose request lines may be at most 1 KiB long."""
+    import repro.service.daemon as daemon_mod
+
+    monkeypatch.setattr(daemon_mod, "REQUEST_LINE_LIMIT", 1024)
+    yield from _live_daemon(tmp_path)
+
+
+def _live_daemon(tmp_path):
     socket_path = str(tmp_path / "eval.sock")
     ready = threading.Event()
     thread = threading.Thread(
@@ -244,6 +257,39 @@ class TestDaemon:
         events = [reply["event"] for reply in replies]
         assert events == ["error"] * len(malformed) + ["pong"]
         assert "not a JSON object" in replies[0]["error"]
+
+    def test_submit_line_over_64_kib_succeeds(self, daemon):
+        grid = small_grid(sizes=(8,), name="g" * 70_000).to_dict()
+        line = json.dumps({"op": "submit", "grid": grid, "priority": "bulk"})
+        assert len(line) > 64 * 1024
+        done = ServiceClient(daemon).submit(grid)
+        assert done["status"] == "done"
+        assert len(done["rows"]) == 1
+
+    def test_over_limit_lines_get_errors_and_keep_the_connection(
+        self, small_limit_daemon
+    ):
+        """A line over the limit gets an error whether its newline came in
+        the first read or megabytes later, and a ping sent after it on the
+        same connection is still answered."""
+        grid = small_grid(sizes=(8,), name="g" * 4096).to_dict()
+        requests = [
+            json.dumps({"op": "submit", "grid": grid}),
+            json.dumps({"op": "ping", "pad": "p" * 2_000_000}),
+            json.dumps({"op": "ping"}),
+        ]
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(10)
+            sock.connect(small_limit_daemon)
+            stream = sock.makefile("rb")
+            replies = []
+            for request in requests:
+                sock.sendall((request + "\n").encode("utf-8"))
+                replies.append(json.loads(stream.readline()))
+        assert [reply["event"] for reply in replies] == [
+            "error", "error", "pong"
+        ]
+        assert "longer than 1024 bytes" in replies[0]["error"]
 
     def test_status_of_unknown_job(self, daemon):
         client = ServiceClient(daemon)
