@@ -4,29 +4,25 @@
 You have 8 large switches (15 ports) and 16 small switches (8 ports) and
 need to attach 96 servers. Where should the servers go, and how should the
 switches interconnect? The paper's answer: servers proportional to port
-counts, wired with vanilla randomness. This example verifies that with the
-:class:`~repro.core.design.HeterogeneousDesigner` grid search and prints
-the ranked design points.
+counts, wired with vanilla randomness. This example verifies that with
+Figure 7's joint placement x interconnect sweep
+(:func:`~repro.experiments.fig07.run_fig7`, which measures every
+candidate with :func:`~repro.experiments.heterogeneity.clustered_throughput`)
+and prints the ranked design points.
 
 Run:  python examples/heterogeneous_design.py
 """
 
-from repro import HeterogeneousDesigner
-from repro.core.placement import proportional_split_for
+from repro.core.placement import feasible_server_splits, proportional_split_for
+from repro.experiments.fig07 import run_fig7
+from repro.experiments.heterogeneity import TwoTypeConfig
+
+#: Large switches, their ports, small switches, their ports, servers.
+POOL = (8, 15, 16, 8, 96)
 
 
 def main() -> None:
-    designer = HeterogeneousDesigner(
-        num_large=8,
-        large_ports=15,
-        num_small=16,
-        small_ports=8,
-        total_servers=96,
-        runs=3,
-        seed=42,
-    )
-
-    proportional = proportional_split_for(8, 15, 16, 8, 96)
+    proportional = proportional_split_for(*POOL)
     print(
         "proportional rule says: "
         f"{proportional.servers_per_large} servers on each large switch, "
@@ -34,19 +30,41 @@ def main() -> None:
         f"(placement ratio {proportional.ratio:.2f})"
     )
 
-    points = designer.search(cross_fractions=[0.4, 0.7, 1.0, 1.3])
-    print(f"\nevaluated {len(points)} design points; top 8 by throughput:")
+    ratios = {
+        f"{split.servers_per_large}H, {split.servers_per_small}L": split.ratio
+        for split in feasible_server_splits(*POOL)
+    }
+    result = run_fig7(
+        config=TwoTypeConfig(*POOL),
+        num_splits=len(ratios),
+        points=4,
+        min_fraction=0.4,
+        max_fraction=1.3,
+        runs=3,
+        seed=42,
+    )
+    ranked = sorted(
+        (
+            (series.name, point)
+            for series in result.series
+            for point in series.points
+        ),
+        key=lambda item: item[1].y,
+        reverse=True,
+    )
+    print(f"\nevaluated {len(ranked)} design points; top 8 by throughput:")
     print(f"{'design':>18s}  {'ratio':>6s}  {'throughput':>10s}  {'std':>6s}")
-    for point in points[:8]:
+    for name, point in ranked[:8]:
+        label = f"{name} @ x{point.x:.2f}"
         print(
-            f"{point.label():>18s}  {point.placement_ratio:6.2f}  "
-            f"{point.mean_throughput:10.4f}  {point.std_throughput:6.4f}"
+            f"{label:>18s}  {ratios[name]:6.2f}  "
+            f"{point.y:10.4f}  {point.std:6.4f}"
         )
 
-    best = points[0]
+    name, point = ranked[0]
     print(
-        f"\nbest design: {best.label()} "
-        f"(placement ratio {best.placement_ratio:.2f})"
+        f"\nbest design: {name} @ x{point.x:.2f} "
+        f"(placement ratio {ratios[name]:.2f})"
     )
     print(
         "note how near-proportional splits with cross fractions around 1.0 "

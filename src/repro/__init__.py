@@ -74,7 +74,6 @@ from repro.flow import (
     min_hop_flow,
 )
 from repro.core import (
-    HeterogeneousDesigner,
     aspl_lower_bound,
     throughput_upper_bound,
     two_part_throughput_bound,
@@ -123,7 +122,6 @@ __all__ = [
     "aspl_lower_bound",
     "throughput_upper_bound",
     "two_part_throughput_bound",
-    "HeterogeneousDesigner",
     "vl2_improvement_ratio",
     # metrics
     "average_shortest_path_length",

@@ -8,10 +8,10 @@
 - :mod:`repro.core.theory` — Theorem 2's two-regime throughput model for
   two-cluster random graphs,
 - :mod:`repro.core.placement` / :mod:`repro.core.interconnect` — server
-  placement and cross-cluster wiring rules (Figures 4-8),
+  placement and cross-cluster wiring rules (Figures 4-8; the joint
+  placement x interconnect sweep is Figure 7's
+  :func:`repro.experiments.fig07.run_fig7`),
 - :mod:`repro.core.optimality` — throughput-vs-bound gap measurements,
-- :mod:`repro.core.design` — joint designer searching placement x
-  interconnect,
 - :mod:`repro.core.vl2_improvement` — binary search for servers supported
   at full throughput, VL2 vs rewired VL2 (Figure 12).
 """
@@ -47,7 +47,6 @@ from repro.core.cabling import (
     linear_layout,
 )
 from repro.core.optimality import bound_ratio, measure_optimality_gap
-from repro.core.design import DesignPoint, HeterogeneousDesigner
 from repro.core.vl2_improvement import (
     max_tors_at_full_throughput,
     supports_full_throughput,
@@ -77,8 +76,6 @@ __all__ = [
     "linear_layout",
     "bound_ratio",
     "measure_optimality_gap",
-    "DesignPoint",
-    "HeterogeneousDesigner",
     "max_tors_at_full_throughput",
     "supports_full_throughput",
     "vl2_improvement_ratio",

@@ -16,28 +16,13 @@ from repro.exceptions import ExperimentError, TopologyError
 from repro.pipeline.engine import evaluate_throughput
 from repro.topology.base import Topology
 from repro.topology.vl2 import rewired_vl2_topology, vl2_topology
-from repro.traffic.alltoall import all_to_all_traffic
-from repro.traffic.base import TrafficMatrix
-from repro.traffic.chunky import chunky_traffic
-from repro.traffic.permutation import random_permutation_traffic
+from repro.traffic.registry import make_traffic
 from repro.util.rng import child_rngs
 from repro.util.validation import check_positive, check_positive_int
 
 #: Relative slack on the full-throughput test, absorbing LP solver
 #: tolerance. 0.1% of line-speed.
 FULL_THROUGHPUT_TOLERANCE = 1e-3
-
-
-def make_traffic(kind: str, topo: Topology, seed=None) -> TrafficMatrix:
-    """Workload factory by name: permutation / all-to-all / chunky-100."""
-    if kind == "permutation":
-        return random_permutation_traffic(topo, seed=seed)
-    if kind == "all-to-all":
-        return all_to_all_traffic(topo)
-    if kind.startswith("chunky-"):
-        fraction = float(kind.split("-", 1)[1]) / 100.0
-        return chunky_traffic(topo, fraction, seed=seed)
-    raise ExperimentError(f"unknown traffic kind {kind!r}")
 
 
 def supports_full_throughput(

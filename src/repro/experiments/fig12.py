@@ -15,7 +15,6 @@ throughput under x% chunky traffic — only majority-chunky patterns dent it.
 from __future__ import annotations
 
 from repro.core.vl2_improvement import (
-    make_traffic,
     max_tors_at_full_throughput,
     vl2_improvement_ratio,
 )
@@ -23,6 +22,7 @@ from repro.exceptions import ExperimentError
 from repro.experiments.common import ExperimentResult, ExperimentSeries, mean_and_std
 from repro.pipeline.engine import evaluate_throughput
 from repro.topology.vl2 import rewired_vl2_topology
+from repro.traffic.registry import make_traffic
 from repro.util.rng import spawn_seeds
 
 DEFAULT_DA_VALUES = (4, 6, 8)

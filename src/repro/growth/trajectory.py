@@ -18,11 +18,11 @@ Solves route through the pipeline's
 :func:`~repro.pipeline.engine.cached_solve`, so trajectories are
 content-fingerprinted and cached exactly like sweep cells: re-running a
 schedule against a warm cache re-solves nothing.
-:func:`run_growth_sweep` fans (strategy, replicate) pairs across worker
-processes. The *strategy* axis is excluded from seed derivation —
-every strategy sees the same initial build and the same per-stage
-arrival randomness, so trajectories are paired the way the pipeline
-pairs its solver columns.
+:func:`run_growth_sweep` fans (strategy, replicate) pairs out through
+the pipeline's executor. The *strategy* axis is excluded from seed
+derivation — every strategy sees the same initial build and the same
+per-stage arrival randomness, so trajectories are paired the way the
+pipeline pairs its solver columns.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from statistics import fmean, pstdev
 
@@ -43,6 +42,7 @@ from repro.growth.plan import GrowthSchedule
 from repro.growth.strategies import grow_stages, make_strategy
 from repro.pipeline.cache import ResultCache, default_cache
 from repro.pipeline.engine import cached_solve
+from repro.pipeline.executors import executor_for_workers
 from repro.topology.base import Topology
 from repro.traffic.registry import make_traffic
 from repro.util.hashing import stable_seed
@@ -473,11 +473,13 @@ def run_growth_sweep(
     """Run ``seeds`` replicates of every strategy over one schedule.
 
     (strategy, replicate) chains are independent, so ``workers > 1``
-    fans them over a process pool; the shared on-disk cache keeps
-    workers coordinated through content-addressed files, exactly like
-    :func:`~repro.pipeline.engine.run_grid`. ``strategy_options`` maps a
-    strategy name to its constructor options, ``estimator_bands`` maps a
-    strategy name to the calibrated band its estimator solves carry.
+    fans them over that many processes
+    (:func:`~repro.pipeline.executors.executor_for_workers`); the shared
+    on-disk cache keeps workers coordinated through content-addressed
+    files, exactly like :func:`~repro.pipeline.engine.run_grid`.
+    ``strategy_options`` maps a strategy name to its constructor
+    options, ``estimator_bands`` maps a strategy name to the calibrated
+    band its estimator solves carry.
     ``progress`` is an optional ``callable(done, total, trajectory)``.
     """
     if seeds < 1:
@@ -498,20 +500,14 @@ def run_growth_sweep(
 
     start = time.perf_counter()
     trajectories: "list[GrowthTrajectory]" = []
-    if workers == 1:
-        for index, task in enumerate(tasks):
-            trajectory = _run_growth_task(task)
+    executor = executor_for_workers(workers)
+    try:
+        for trajectory in executor.map(_run_growth_task, tasks):
             trajectories.append(trajectory)
             if progress is not None:
-                progress(index + 1, len(tasks), trajectory)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, trajectory in enumerate(
-                pool.map(_run_growth_task, tasks)
-            ):
-                trajectories.append(trajectory)
-                if progress is not None:
-                    progress(index + 1, len(tasks), trajectory)
+                progress(len(trajectories), len(tasks), trajectory)
+    finally:
+        executor.shutdown()
     return GrowthSweepResult(
         schedule=schedule,
         trajectories=trajectories,

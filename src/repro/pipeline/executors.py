@@ -3,8 +3,11 @@
 The scheduler (:mod:`repro.pipeline.scheduler`) talks to every backend
 through :class:`GridExecutor`: submit one work item's scenarios, get a
 :class:`concurrent.futures.Future` of its cell results. Every backend
-solves an item with :func:`~repro.pipeline.engine.evaluate_batch`. Two
-implementations ship today —
+solves an item with :func:`~repro.pipeline.engine.evaluate_batch`.
+Fan-outs that are not grid items (annealing restarts, growth chains)
+call :meth:`GridExecutor.map` on the backend
+:func:`executor_for_workers` picks, so this module is the one place a
+process pool is built. Two implementations ship today —
 
 - :class:`SerialExecutor` — runs items inline on the dispatcher thread.
   Zero overhead, one in-process :class:`ResultCache` per cache root
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Protocol, runtime_checkable
+from typing import Iterator, Protocol, runtime_checkable
 
 from repro.pipeline.cache import ResultCache
 
@@ -56,6 +59,15 @@ class GridExecutor(Protocol):
 
     def submit(self, scenarios, cache_dir: "str | None") -> Future:
         """Start one work item; the future resolves to its cell results."""
+        ...
+
+    def map(self, fn, tasks) -> Iterator:
+        """Yield ``fn(task)`` for every task, in task order.
+
+        ``fn`` and the tasks must pickle for process backends. An
+        exception raised by task ``k`` re-raises when result ``k`` is
+        read.
+        """
         ...
 
     def reset(self) -> None:
@@ -107,6 +119,11 @@ class SerialExecutor:
         except BaseException as exc:  # the future carries the outcome
             future.set_exception(exc)
         return future
+
+    def map(self, fn, tasks) -> Iterator:
+        """Run each task when its result is read, so a caller that reports
+        per-task progress reports it live."""
+        return (fn(task) for task in tasks)
 
     def reset(self) -> None:
         pass
@@ -164,6 +181,9 @@ class ProcessExecutor:
             _evaluate_item_task, tuple(scenarios), cache_dir
         )
 
+    def map(self, fn, tasks) -> Iterator:
+        return self._ensure_pool().map(fn, tasks)
+
     def reset(self) -> None:
         """Abandon the current pool (workers died or a timed-out task is
         wedged in one) and let the next submit spawn a fresh one."""
@@ -189,5 +209,10 @@ class ProcessExecutor:
 
 
 def executor_for_workers(workers: int) -> "SerialExecutor | ProcessExecutor":
-    """The default backend :func:`run_grid` picks for a worker count."""
+    """The backend for a worker count: in-process at 1, a pool above.
+
+    :func:`run_grid`, :func:`~repro.search.parallel.parallel_anneal` and
+    :func:`~repro.growth.trajectory.run_growth_sweep` all pick theirs
+    here.
+    """
     return SerialExecutor() if workers <= 1 else ProcessExecutor(workers)

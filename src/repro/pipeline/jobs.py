@@ -70,14 +70,13 @@ class RetryPolicy:
     a timed-out attempt, a worker process dying mid-cell — are always
     retried while attempts remain. Exceptions raised *by the solve
     itself* are deterministic (the same cell fails the same way) and
-    fail the item immediately unless ``retry_errors`` opts in.
+    fail the item immediately.
     """
 
     max_attempts: int = 3
     backoff_s: float = 0.05
     backoff_factor: float = 2.0
     timeout_s: "float | None" = None
-    retry_errors: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

@@ -19,10 +19,9 @@ state machine:
 - **timeout** — an attempt exceeding ``RetryPolicy.timeout_s`` is
   abandoned (and the pool recycled, for process backends, to reclaim the
   wedged worker), then retried until attempts run out.
-- **solver exceptions** — deterministic: the item fails immediately
-  (``retry_errors`` opts in to retrying them), and a ``fail_fast``
-  handle cancels the rest of its job, which is how the synchronous
-  wrapper keeps the old raise-on-first-error contract.
+- **solver exceptions** — deterministic: the item fails immediately, and
+  a ``fail_fast`` handle cancels the rest of its job, which is how the
+  synchronous wrapper keeps the old raise-on-first-error contract.
 
 When a profiler is active at submit time (``sweep --profile``), the
 scheduler records ``queue_wait`` / ``solve`` / ``publish`` spans per
@@ -402,13 +401,10 @@ class GridScheduler:
             self._retry_or_fail(entry, f"worker died mid-item: {exc!r}")
             return
         # Deterministic solver failure.
-        if self.retry.retry_errors:
-            self._retry_or_fail(entry, f"{type(exc).__name__}: {exc}", exc)
-        else:
-            handle.job.fail_item(
-                item, f"{type(exc).__name__}: {exc}", exception=exc
-            )
-            self._item_failed(handle, item, exc)
+        handle.job.fail_item(
+            item, f"{type(exc).__name__}: {exc}", exception=exc
+        )
+        self._item_failed(handle, item, exc)
 
     def _publish(self, entry: _InFlight, results: list) -> None:
         handle, item = entry.handle, entry.item
@@ -441,20 +437,13 @@ class GridScheduler:
         self.items_completed += 1
         self._reap(handle, item)
 
-    def _retry_or_fail(
-        self,
-        entry: _InFlight,
-        error: str,
-        exc: "BaseException | None" = None,
-    ) -> None:
+    def _retry_or_fail(self, entry: _InFlight, error: str) -> None:
         handle, item = entry.handle, entry.item
         if handle.job.retry_item(item, error, self.retry):
             self.items_retried += 1
             self._push_ready(handle, item)
         else:
-            if item.exception is None and exc is not None:
-                item.exception = exc
-            self._item_failed(handle, item, exc)
+            self._item_failed(handle, item, None)
 
     def _item_failed(
         self, handle: JobHandle, item: WorkItem,

@@ -11,7 +11,8 @@ four layers:
 - :mod:`repro.search.annealing` — simulated annealing with cooling
   schedules and O(affected pairs) incremental ASPL evaluation,
 - :mod:`repro.search.parallel` — deterministic multi-seed /
-  multi-temperature restarts across worker processes,
+  multi-temperature restarts, fanned out through the pipeline's
+  executor (``workers`` processes, in-process at the default 1),
 - :mod:`repro.search.engine` — ``optimize_topology`` /
   ``optimized_topology`` entry points (the registry's ``"optimized"``
   topology kind).

@@ -8,6 +8,7 @@ networks under the ``"optimized"`` kind next to ``"rrg"`` and friends.
 
 from __future__ import annotations
 
+from repro.exceptions import ExperimentError
 from repro.search.annealing import AnnealResult, anneal
 from repro.search.objectives import Objective
 from repro.search.parallel import parallel_anneal
@@ -23,16 +24,19 @@ def optimize_topology(
     steps: int = 2000,
     seed=None,
     num_runs: int = 1,
-    max_workers: "int | None" = None,
+    workers: int = 1,
     **kwargs,
 ) -> AnnealResult:
     """Anneal ``topo`` and return the best run's result.
 
-    ``num_runs > 1`` fans independent restarts across worker processes
-    (see :func:`~repro.search.parallel.parallel_anneal`); the returned
-    result is the deterministic winner. All extra keywords flow to
+    ``num_runs > 1`` runs independent restarts (see
+    :func:`~repro.search.parallel.parallel_anneal`), on ``workers``
+    processes when ``workers > 1``; the returned result is the
+    deterministic winner. All extra keywords flow to
     :func:`~repro.search.annealing.anneal`.
     """
+    if workers < 1:
+        raise ExperimentError(f"workers must be >= 1, got {workers}")
     if num_runs == 1:
         return anneal(topo, objective, steps=steps, seed=seed, **kwargs)
     return parallel_anneal(
@@ -41,7 +45,7 @@ def optimize_topology(
         num_runs=num_runs,
         steps=steps,
         seed=seed,
-        max_workers=max_workers,
+        workers=workers,
         **kwargs,
     ).best
 
@@ -55,7 +59,7 @@ def optimized_topology(
     objective: "str | Objective" = "aspl",
     steps: int = 1000,
     num_runs: int = 1,
-    max_workers: "int | None" = None,
+    workers: int = 1,
     name: "str | None" = None,
     **kwargs,
 ) -> Topology:
@@ -79,7 +83,7 @@ def optimized_topology(
         steps=steps,
         seed=search_seed,
         num_runs=num_runs,
-        max_workers=max_workers,
+        workers=workers,
         **kwargs,
     )
     topo = result.topology

@@ -3,20 +3,20 @@
 Annealing is embarrassingly parallel across restarts: independent walks
 from the same start topology explore different basins, and the best of
 ``num_runs`` runs is markedly better than any single run. This module
-fans runs out over a :class:`concurrent.futures.ProcessPoolExecutor`
-while keeping the whole ensemble *deterministic*: worker RNG streams are
-spawned from one root :class:`numpy.random.SeedSequence` (never from
-worker entropy), and the winner is selected by (score, submission index)
-so completion order cannot change the result.
+fans runs out through the pipeline's executor
+(:func:`~repro.pipeline.executors.executor_for_workers`) while keeping
+the whole ensemble *deterministic*: worker RNG streams are spawned from
+one root :class:`numpy.random.SeedSequence` (never from worker entropy),
+and the winner is selected by (score, submission index) so completion
+order cannot change the result.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.exceptions import ExperimentError
+from repro.pipeline.executors import executor_for_workers
 from repro.search.annealing import AnnealResult, CoolingSchedule, anneal
 from repro.search.objectives import Objective
 from repro.topology.base import Topology
@@ -79,7 +79,7 @@ def parallel_anneal(
     seed=None,
     temperatures: "list[float] | None" = None,
     temperature_ratio: float = 1e-3,
-    max_workers: "int | None" = None,
+    workers: int = 1,
     **kwargs,
 ) -> ParallelSearchResult:
     """Run ``num_runs`` independent annealing walks and keep them all.
@@ -90,18 +90,20 @@ def parallel_anneal(
         Optional explicit initial temperature per run (a "parallel
         tempering lite": hot runs explore, cold runs polish). Length must
         equal ``num_runs``; omitted runs auto-calibrate.
-    max_workers:
-        Process count (default: ``min(num_runs, cpu_count)``). ``0`` runs
-        everything serially in-process — same results, no pool; useful
-        under profilers and in constrained CI sandboxes.
+    workers:
+        Worker processes, as in :func:`~repro.pipeline.engine.run_grid`:
+        1 (the default) runs every walk in-process, ``n > 1`` on ``n``
+        processes.
     kwargs:
         Forwarded to :func:`~repro.search.annealing.anneal` / the
         objective factory (e.g. ``cooling="linear"``, ``traffic=...``).
 
     For a fixed ``seed`` the result — every run, and therefore the winner
-    — is identical whatever ``max_workers`` is.
+    — is identical whatever ``workers`` is.
     """
     check_positive_int(num_runs, "num_runs")
+    if workers < 1:
+        raise ExperimentError(f"workers must be >= 1, got {workers}")
     if temperatures is not None and len(temperatures) != num_runs:
         raise ExperimentError(
             f"temperatures has {len(temperatures)} entries for {num_runs} runs"
@@ -131,10 +133,9 @@ def parallel_anneal(
             )
         )
 
-    if max_workers == 0:
-        runs = [_run_one(spec) for spec in specs]
-    else:
-        workers = max_workers or min(num_runs, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_one, specs))
+    executor = executor_for_workers(workers)
+    try:
+        runs = list(executor.map(_run_one, specs))
+    finally:
+        executor.shutdown()
     return ParallelSearchResult(runs=runs)

@@ -51,7 +51,10 @@ def longest_matching_traffic(
         return sum(row.values()) / max(len(row) - 1, 1)
 
     order = sorted(servers, key=lambda s: (-remoteness(s), rng.random()))
-    available: set = set(servers)
+    # Insertion-ordered, so the tie-break draws below follow ``servers``
+    # order rather than a set's hash order (which varies with
+    # PYTHONHASHSEED for string switch ids).
+    available = dict.fromkeys(servers)
     pairs: list[tuple] = []
     for source in order:
         src_switch, _ = source
@@ -66,13 +69,13 @@ def longest_matching_traffic(
             a, b = pairs.pop()
             pairs.append((a, source))
             pairs.append((source, b))
-            available.discard(source)
+            del available[source]
             continue
         best = max(
             candidates,
             key=lambda s: (distances[src_switch][s[0]], rng.random()),
         )
-        available.discard(best)
+        del available[best]
         pairs.append((source, best))
     return TrafficMatrix.from_server_pairs(
         pairs, name=name or "longest-matching"

@@ -4,9 +4,10 @@ The result cache's instance index maps a cell's specs to the
 fingerprints its build produced (see
 ``repro.pipeline.engine.indexed_cells``). This module pins one small
 instance per registered topology kind (aliases included), per traffic
-model (on one small RRG) and per failure model, and records each case's
-fingerprints. ``tests/test_golden_instances.py`` fails, naming the kind,
-when one moves, and when a case builds differently under another
+model (on one small RRG, and again on a small VL2, whose switch ids are
+strings) and per failure model, and records each case's fingerprints.
+``tests/test_golden_instances.py`` fails, naming the kind, when one
+moves, and when a case builds differently under another
 ``PYTHONHASHSEED``.
 
 Usage, from the repository root::
@@ -107,6 +108,10 @@ TOPOLOGY_PARAMS = {
 #: Traffic models that need params beyond the registry's defaults.
 TRAFFIC_PARAMS = {"stride": {"stride": 3}}
 
+#: A fabric with string switch ids: a builder that iterates a set of
+#: them draws in an order that follows PYTHONHASHSEED.
+_VL2 = {"da": 4, "di": 4, "servers_per_tor": 2}
+
 #: The failure cases' fabric, and the rate of every non-null model.
 _FAILURE_RRG = {"num_switches": 10, "network_degree": 4, "servers_per_switch": 2}
 FAILURE_RATE = 0.25
@@ -141,6 +146,14 @@ def cases() -> "list[tuple[str, str, Scenario]]":
                 f"traffic:{model}",
                 f"traffic model {model!r}",
                 _scenario("rrg", _RRG, model),
+            )
+        )
+    for model in available_traffic_models():
+        out.append(
+            (
+                f"traffic-vl2:{model}",
+                f"traffic model {model!r} on vl2",
+                _scenario("vl2", _VL2, model),
             )
         )
     for model in FAILURE_MODELS:

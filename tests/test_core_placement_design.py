@@ -1,10 +1,9 @@
-"""Tests for placement rules, interconnect sweeps, and the joint designer."""
+"""Tests for placement rules, interconnect sweeps, and their joint sweep."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.design import HeterogeneousDesigner
 from repro.core.interconnect import feasible_cross_fractions
 from repro.core.placement import (
     expected_share_per_switch,
@@ -13,6 +12,8 @@ from repro.core.placement import (
     server_placement_ratio,
 )
 from repro.exceptions import ExperimentError
+from repro.experiments.fig07 import run_fig7
+from repro.experiments.heterogeneity import TwoTypeConfig
 
 
 class TestPlacementNormalization:
@@ -84,61 +85,38 @@ class TestFeasibleCrossFractions:
             feasible_cross_fractions(4, 4, 4, 4, min_fraction=0.5, max_fraction=0.2)
 
 
-class TestDesigner:
-    @pytest.fixture(scope="class")
-    def search_results(self):
+class TestJointSweep:
+    """§5's placement x interconnect sweep, as Figure 7 runs it."""
+
+    def test_proportional_near_top(self):
+        """The paper's rule: proportional + vanilla random is among the
+        optima. Demand it lands within 15% of the best."""
         # Oversubscribed on purpose: the paper's placement claim concerns
         # the capacity-bound regime (underloaded networks instead reward
         # whatever shortens paths).
-        designer = HeterogeneousDesigner(
-            num_large=4,
-            large_ports=12,
-            num_small=8,
-            small_ports=6,
-            total_servers=40,
+        config = TwoTypeConfig(4, 12, 8, 6, 40)
+        result = run_fig7(
+            config=config,
+            num_splits=5,
+            points=3,
+            min_fraction=0.6,
+            max_fraction=1.4,
             runs=2,
             seed=7,
         )
-        return designer, designer.search(cross_fractions=[0.6, 1.0, 1.4])
-
-    def test_grid_size(self, search_results):
-        designer, points = search_results
-        splits = designer.candidate_splits()
-        assert len(points) == len(splits) * 3
-
-    def test_sorted_by_throughput(self, search_results):
-        _, points = search_results
-        values = [p.mean_throughput for p in points]
-        assert values == sorted(values, reverse=True)
-
-    def test_best_is_first(self, search_results):
-        designer, points = search_results
-        assert designer.best(cross_fractions=[0.6, 1.0, 1.4]) == points[0]
-
-    def test_proportional_near_top(self, search_results):
-        """The paper's rule: proportional + vanilla random is among the
-        optima. Demand it lands within 10% of the best."""
-        _, points = search_results
-        best = points[0].mean_throughput
-        # The integer split grid is coarse at this scale; the nearest
-        # feasible split to proportional sits at ratio 1.33.
-        closest_ratio = min(
-            (abs(p.placement_ratio - 1.0) for p in points)
-        )
+        ratios = {
+            f"{split.servers_per_large}H, {split.servers_per_small}L": split.ratio
+            for split in feasible_server_splits(4, 12, 8, 6, 40)
+        }
+        best = max(series.peak().y for series in result.series)
+        # The integer split grid is coarse at this scale: the nearest
+        # feasible splits to proportional (4H 3L and 6H 2L) sit at ratios
+        # 0.8 and 1.2.
+        closest = min(abs(ratios[series.name] - 1.0) for series in result.series)
         near_proportional = [
-            p
-            for p in points
-            if abs(p.placement_ratio - 1.0) <= closest_ratio + 1e-9
-            and p.cross_fraction == 1.0
+            series.y_at(1.0)
+            for series in result.series
+            if abs(ratios[series.name] - 1.0) <= closest + 1e-9
         ]
         assert near_proportional
-        assert max(p.mean_throughput for p in near_proportional) >= 0.85 * best
-
-    def test_labels(self, search_results):
-        _, points = search_results
-        assert "H," in points[0].label()
-
-    def test_empty_grid_rejected(self, search_results):
-        designer, _ = search_results
-        with pytest.raises(ExperimentError, match="empty"):
-            designer.search(splits=[], cross_fractions=[1.0])
+        assert max(near_proportional) >= 0.85 * best

@@ -6,13 +6,13 @@ import pytest
 
 from repro.core.optimality import OptimalityGap, bound_ratio, measure_optimality_gap
 from repro.core.vl2_improvement import (
-    make_traffic,
     max_tors_at_full_throughput,
     supports_full_throughput,
     vl2_improvement_ratio,
 )
-from repro.exceptions import ExperimentError
+from repro.exceptions import ExperimentError, TrafficError
 from repro.topology.vl2 import rewired_vl2_topology, vl2_topology
+from repro.traffic.registry import make_traffic
 
 
 class TestOptimalityGap:
@@ -49,6 +49,8 @@ class TestOptimalityGap:
 
 
 class TestMakeTraffic:
+    """The VL2 study's workload names, served by the traffic registry."""
+
     def test_kinds(self, small_rrg):
         assert make_traffic("permutation", small_rrg, seed=1).num_flows > 0
         assert make_traffic("all-to-all", small_rrg).num_flows > 0
@@ -56,7 +58,7 @@ class TestMakeTraffic:
         assert chunky.num_flows > 0
 
     def test_unknown_kind_rejected(self, small_rrg):
-        with pytest.raises(ExperimentError, match="unknown traffic"):
+        with pytest.raises(TrafficError, match="unknown traffic"):
             make_traffic("bogus", small_rrg)
 
 

@@ -1,0 +1,28 @@
+"""Every script under ``examples/`` imports, without running its ``main``.
+
+No test runs the examples, so one that imports a deleted or renamed name
+would otherwise break unseen.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+EXAMPLES = sorted(
+    (Path(__file__).resolve().parent.parent / "examples").glob("*.py")
+)
+
+
+def test_examples_found():
+    assert EXAMPLES
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda path: path.stem)
+def test_example_imports(path):
+    spec = importlib.util.spec_from_file_location(f"example_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)

@@ -3,7 +3,8 @@
 The result cache's instance index serves a cell's fingerprints from its
 specs without rebuilding it, keyed by a digest of the package source.
 ``tests/golden/instance_fingerprints.json`` pins one small instance per
-topology kind, traffic model and failure model (cases defined in
+topology kind, traffic model (on an integer-id RRG and on a VL2, whose
+switch ids are strings) and failure model (cases defined in
 ``instance_golden.py``), so a change that moves what a kind builds fails
 here, naming the kind, until it is re-recorded on purpose. The cases are
 also computed in fresh processes under two ``PYTHONHASHSEED`` values,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.metrics.paths import average_shortest_path_length
+from repro.pipeline.scenario import TopologySpec
 from repro.search.engine import optimize_topology, optimized_topology
 from repro.search.parallel import ParallelSearchResult, parallel_anneal
 from repro.topology.random_regular import random_regular_topology
@@ -24,17 +27,23 @@ def base():
 class TestParallelAnneal:
     def test_pool_matches_serial_for_fixed_seed(self, base):
         serial = parallel_anneal(
-            base, "aspl", num_runs=3, steps=150, seed=42, max_workers=0
+            base, "aspl", num_runs=3, steps=150, seed=42, workers=1
         )
         pooled = parallel_anneal(
-            base, "aspl", num_runs=3, steps=150, seed=42, max_workers=2
+            base, "aspl", num_runs=3, steps=150, seed=42, workers=2
         )
         assert serial.best_scores() == pooled.best_scores()
         assert _edges(serial.best.topology) == _edges(pooled.best.topology)
 
+    def test_workers_below_one_rejected(self, base):
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            parallel_anneal(base, "aspl", num_runs=2, steps=10, workers=0)
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            optimize_topology(base, "aspl", steps=10, workers=0)
+
     def test_runs_are_independent_walks(self, base):
         result = parallel_anneal(
-            base, "aspl", num_runs=3, steps=150, seed=1, max_workers=0
+            base, "aspl", num_runs=3, steps=150, seed=1
         )
         assert len(result.runs) == 3
         # Different seed streams should explore differently (scores rarely
@@ -44,7 +53,7 @@ class TestParallelAnneal:
 
     def test_best_is_max_score(self, base):
         result = parallel_anneal(
-            base, "aspl", num_runs=3, steps=100, seed=2, max_workers=0
+            base, "aspl", num_runs=3, steps=100, seed=2
         )
         assert result.best.best_score == max(result.best_scores())
         assert result.topology is result.best.topology
@@ -57,7 +66,6 @@ class TestParallelAnneal:
             steps=80,
             seed=3,
             temperatures=[0.5, 0.01],
-            max_workers=0,
         )
         assert len(result.runs) == 2
 
@@ -82,7 +90,7 @@ class TestEngine:
 
     def test_multi_run_picks_winner(self, base):
         result = optimize_topology(
-            base, "aspl", steps=100, seed=6, num_runs=2, max_workers=0
+            base, "aspl", steps=100, seed=6, num_runs=2
         )
         solo = optimize_topology(base, "aspl", steps=100, seed=6)
         assert result.best_score >= min(result.best_score, solo.best_score)
@@ -103,6 +111,23 @@ class TestEngine:
         assert average_shortest_path_length(
             optimized
         ) <= average_shortest_path_length(base) + 1e-9
+
+    def test_optimized_kind_builds_no_process_pool(self, monkeypatch):
+        # Restarts run in-process unless a caller asks for workers, so a
+        # grid cell's topology build starts no pool of its own.
+        pools = []
+        init = ProcessPoolExecutor.__init__
+
+        def counting_init(pool, *args, **kwargs):
+            pools.append((args, kwargs))
+            init(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", counting_init)
+        spec = TopologySpec.make(
+            "optimized", num_switches=12, network_degree=3, steps=40, num_runs=2
+        )
+        assert spec.build(seed=1).num_switches == 12
+        assert pools == []
 
     def test_registry_kind(self):
         topo = make_topology(
