@@ -22,8 +22,6 @@ reading degraded-fabric results.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.exceptions import FlowError
 from repro.flow.result import ThroughputResult
 from repro.topology.base import Topology
@@ -31,15 +29,6 @@ from repro.traffic.base import TrafficMatrix
 
 #: Accepted values for the solvers' ``unreachable`` keyword.
 UNREACHABLE_POLICIES = ("error", "drop")
-
-
-def _component_labels(topo: Topology) -> dict:
-    """Switch -> connected-component id."""
-    return {
-        node: component
-        for component, members in enumerate(nx.connected_components(topo.graph))
-        for node in members
-    }
 
 
 def split_unreachable_demands(
@@ -53,7 +42,7 @@ def split_unreachable_demands(
     (``num_flows``/``num_local_flows``) describes the *offered* workload
     and is kept unchanged on the served matrix.
     """
-    labels = _component_labels(topo)
+    labels = dict(zip(topo.switches, topo.component_labels().tolist()))
     served: dict = {}
     dropped: list = []
     for (u, v), units in traffic.demands.items():

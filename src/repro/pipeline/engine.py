@@ -41,7 +41,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from statistics import fmean, pstdev
 
-import networkx
 import numpy
 import scipy
 
@@ -404,7 +403,6 @@ _BUILD_TABLE = {
     "source": _source_digest(Path(__file__).resolve().parent.parent),
     "numpy": numpy.__version__,
     "scipy": scipy.__version__,
-    "networkx": networkx.__version__,
 }
 
 

@@ -36,8 +36,8 @@ def topology_fingerprint(topo: Topology) -> str:
     )
     links = sorted(
         (
-            [encode_node(link.u), encode_node(link.v), link.capacity]
-            for link in topo.links
+            [encode_node(u), encode_node(v), capacity]
+            for u, v, capacity in topo.link_triples()
         ),
         key=lambda entry: (str(entry[0]), str(entry[1])),
     )

@@ -13,8 +13,8 @@ a first-class pipeline axis:
   other pipeline specs,
 - :func:`apply_failures` / :func:`degraded_view` — deterministic sampling
   plus O(1)-construction degraded :class:`~repro.topology.base.Topology`
-  views (networkx ``restricted_view``; the intact graph is never copied
-  or rebuilt),
+  views (each filters the intact topology's store on first read; the
+  intact topology is never copied or rebuilt),
 - nested-by-rate sampling: for one seed, the failed set at rate ``a`` is
   a subset of the failed set at rate ``b > a``, so throughput-vs-rate
   curves are monotone per sample, not just in expectation.

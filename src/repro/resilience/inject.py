@@ -17,15 +17,14 @@ throughput-vs-failure-rate curves monotone non-increasing *per sample*
 (as long as no demand is dropped), not merely in expectation.
 
 Degraded topologies are **views**, not copies: :func:`degraded_view`
-wraps the intact graph in a networkx ``restricted_view`` (O(1) to
-create), so degrading an expensive topology — an annealed ``optimized``
-fabric, a huge RRG — costs nothing beyond the sample itself. Views are
-read-only; call ``.copy()`` for a mutable degraded topology.
+keeps a reference to the intact topology and filters its switch and
+link store on first read (and again after the intact topology changes),
+so degrading an expensive topology — an annealed ``optimized`` fabric, a
+huge RRG — never copies it. Views are read-only; call ``.copy()`` for a
+mutable degraded topology.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.exceptions import ExperimentError, TopologyError
 from repro.resilience.spec import FailureSpec
@@ -135,11 +134,13 @@ _SAMPLERS = {
 class DegradedTopology(Topology):
     """A read-only view of a topology with some links/switches failed.
 
-    The underlying graph is a networkx ``restricted_view`` of the intact
-    topology's graph: creation is O(1) and the intact graph is shared,
-    never copied. Mutation methods inherited from :class:`Topology`
-    consequently fail (networkx raises on frozen views); use ``.copy()``
-    to obtain an independent, mutable degraded topology.
+    The view reads its base live: it filters the base's switch and link
+    store on first read and again whenever the base's structure changes,
+    in the base's order minus the failed equipment. It shares the base's
+    per-switch attribute dicts, so the base's server counts and labels
+    show through at once. Every mutation method raises
+    :class:`~repro.exceptions.TopologyError`; use ``.copy()`` to obtain
+    an independent, mutable degraded topology.
 
     Attributes
     ----------
@@ -180,14 +181,51 @@ class DegradedTopology(Topology):
             suffix = spec.label() if spec is not None else "degraded"
             name = f"{base.name}!{suffix}"
         self.name = str(name)
-        self._graph = nx.restricted_view(
-            base.graph, self.failed_switches, self.failed_links
-        )
+        self._view: "tuple | None" = None
 
     @property
     def _version(self) -> int:
         # The view reads its base live: the base's mutations are its own.
         return self.base._version
+
+    def _store(self) -> tuple:
+        """``(nodes, adj)``: the base's store minus the failed equipment."""
+        version = self.base._version
+        if self._view is None or self._view[0] != version:
+            failed = set(self.failed_switches)
+            hidden = {*self.failed_links, *((v, u) for u, v in self.failed_links)}
+            nodes = {
+                node: attrs
+                for node, attrs in self.base._nodes.items()
+                if node not in failed
+            }
+            adj = {
+                u: {
+                    v: capacity
+                    for v, capacity in nbrs.items()
+                    if v not in failed and (u, v) not in hidden
+                }
+                for u, nbrs in self.base._adj.items()
+                if u not in failed
+            }
+            self._view = (version, nodes, adj)
+        return self._view[1:]
+
+    @property
+    def _nodes(self) -> dict:
+        return self._store()[0]
+
+    @property
+    def _adj(self) -> dict:
+        return self._store()[1]
+
+    def _read_only(self, *args, **kwargs):
+        raise TopologyError(
+            f"{self.name!r} is a read-only view; call .copy() for a "
+            "mutable topology"
+        )
+
+    add_switch = add_link = remove_link = set_servers = set_cluster = _read_only
 
     @property
     def num_failed_links(self) -> int:

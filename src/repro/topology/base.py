@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
-import networkx as nx
+import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from repro.exceptions import TopologyError
 from repro.util.validation import check_non_negative_int, check_positive
@@ -63,13 +64,18 @@ class Topology:
     """
 
     #: Structural mutations so far, and the :meth:`adjacency` memo as
-    #: ``(version, matrix)``; a degraded view reads its base's version.
+    #: ``(version, matrix, component labels or None)``; a degraded view
+    #: reads its base's version.
     _version = 0
     _adjacency: "tuple | None" = None
 
     def __init__(self, name: str = "topology") -> None:
         self.name = str(name)
-        self._graph = nx.Graph()
+        # switch -> attribute dict, and switch -> {neighbor: capacity}.
+        # Both keep insertion order, which is networkx ``Graph``'s order:
+        # every arc list, LP column, cut sum and anneal pick follows it.
+        self._nodes: dict = {}
+        self._adj: dict = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -87,53 +93,54 @@ class Topology:
         heterogeneous-design analyses (e.g. ``"large"``/``"small"`` clusters,
         ``"tor"``/``"agg"``/``"core"`` types).
         """
-        if node in self._graph:
+        if node in self._nodes:
             raise TopologyError(f"switch {node!r} already exists")
         servers = check_non_negative_int(servers, "servers")
-        self._graph.add_node(
-            node, servers=servers, cluster=cluster, switch_type=switch_type
-        )
+        self._nodes[node] = {
+            "servers": servers,
+            "cluster": cluster,
+            "switch_type": switch_type,
+        }
+        self._adj[node] = {}
         self._version += 1
 
     def add_link(self, u: NodeId, v: NodeId, capacity: float = 1.0) -> None:
         """Add a link of the given capacity between existing switches.
 
         Adding a link where one already exists *aggregates* capacities, which
-        is how parallel links (port trunks) are represented.
+        is how parallel links (port trunks) are represented; the link keeps
+        its place in :attr:`links` order.
         """
         if u == v:
             raise TopologyError(f"self-loop at switch {u!r} is not allowed")
         for node in (u, v):
-            if node not in self._graph:
+            if node not in self._nodes:
                 raise TopologyError(f"switch {node!r} does not exist")
         capacity = check_positive(capacity, "capacity")
-        if self._graph.has_edge(u, v):
-            capacity += self._graph[u][v]["capacity"]
-        # add_edge, not the shared data dict: a frozen view must raise
-        # rather than change its base behind the base's adjacency memo.
-        self._graph.add_edge(u, v, capacity=capacity)
+        capacity += self._adj[u].get(v, 0.0)
+        self._adj[u][v] = capacity
+        self._adj[v][u] = capacity
         self._version += 1
 
     def remove_link(self, u: NodeId, v: NodeId) -> None:
         """Remove the link between ``u`` and ``v`` entirely."""
-        if not self._graph.has_edge(u, v):
+        if not self.has_link(u, v):
             raise TopologyError(f"no link between {u!r} and {v!r}")
-        self._graph.remove_edge(u, v)
+        del self._adj[u][v]
+        del self._adj[v][u]
         self._version += 1
 
     def set_servers(self, node: NodeId, servers: int) -> None:
         """Set the number of servers attached to ``node``."""
-        if node not in self._graph:
+        if node not in self._nodes:
             raise TopologyError(f"switch {node!r} does not exist")
-        self._graph.nodes[node]["servers"] = check_non_negative_int(
-            servers, "servers"
-        )
+        self._nodes[node]["servers"] = check_non_negative_int(servers, "servers")
 
     def set_cluster(self, node: NodeId, cluster: "str | None") -> None:
         """Assign ``node`` to a named cluster (used by two-cluster analyses)."""
-        if node not in self._graph:
+        if node not in self._nodes:
             raise TopologyError(f"switch {node!r} does not exist")
-        self._graph.nodes[node]["cluster"] = cluster
+        self._nodes[node]["cluster"] = cluster
 
     # ------------------------------------------------------------------
     # Inspection
@@ -141,106 +148,115 @@ class Topology:
     @property
     def num_switches(self) -> int:
         """Number of switches."""
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     @property
     def num_links(self) -> int:
         """Number of (collapsed) undirected links."""
-        return self._graph.number_of_edges()
+        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     @property
     def num_servers(self) -> int:
         """Total number of servers attached across all switches."""
-        return sum(self._graph.nodes[v]["servers"] for v in self._graph)
+        return sum(attrs["servers"] for attrs in self._nodes.values())
 
     @property
     def switches(self) -> list[NodeId]:
         """All switch ids, in insertion order."""
-        return list(self._graph.nodes)
+        return list(self._nodes)
+
+    def link_triples(self) -> Iterator[tuple[NodeId, NodeId, float]]:
+        """Undirected links as ``(u, v, capacity)``, without :class:`Link`
+        objects.
+
+        This is the one link order (networkx's ``Graph.edges`` order):
+        switch-major, each link once, from the endpoint that comes first
+        in :attr:`switches` order, then in that switch's neighbor order.
+        """
+        seen = set()
+        for u, nbrs in self._adj.items():
+            for v, capacity in nbrs.items():
+                if v not in seen:
+                    yield u, v, capacity
+            seen.add(u)
 
     @property
     def links(self) -> list[Link]:
         """All undirected links with their (aggregated) capacities."""
-        return [
-            Link(u, v, data["capacity"])
-            for u, v, data in self._graph.edges(data=True)
-        ]
+        return [Link(u, v, capacity) for u, v, capacity in self.link_triples()]
 
     @property
     def total_capacity(self) -> float:
         """Total network capacity counting both directions (paper's ``C``)."""
-        return 2.0 * sum(d["capacity"] for _, _, d in self._graph.edges(data=True))
+        return 2.0 * sum(capacity for _, _, capacity in self.link_triples())
 
     def has_switch(self, node: NodeId) -> bool:
         """Whether ``node`` is a switch in this topology."""
-        return node in self._graph
+        return node in self._nodes
 
     def has_link(self, u: NodeId, v: NodeId) -> bool:
         """Whether an (undirected) link between ``u`` and ``v`` exists."""
-        return self._graph.has_edge(u, v)
+        return v in self._adj.get(u, ())
 
     def capacity(self, u: NodeId, v: NodeId) -> float:
         """Capacity of the link between ``u`` and ``v`` (per direction)."""
-        if not self._graph.has_edge(u, v):
+        if not self.has_link(u, v):
             raise TopologyError(f"no link between {u!r} and {v!r}")
-        return float(self._graph[u][v]["capacity"])
+        return float(self._adj[u][v])
 
     def degree(self, node: NodeId) -> int:
         """Number of distinct neighbor switches of ``node``."""
-        if node not in self._graph:
+        if node not in self._nodes:
             raise TopologyError(f"switch {node!r} does not exist")
-        return int(self._graph.degree[node])
+        return len(self._adj[node])
 
     def neighbors(self, node: NodeId) -> list[NodeId]:
         """Neighbor switches of ``node``."""
-        if node not in self._graph:
+        if node not in self._nodes:
             raise TopologyError(f"switch {node!r} does not exist")
-        return list(self._graph.neighbors(node))
+        return list(self._adj[node])
 
     def servers_at(self, node: NodeId) -> int:
         """Number of servers attached to ``node``."""
-        if node not in self._graph:
+        if node not in self._nodes:
             raise TopologyError(f"switch {node!r} does not exist")
-        return int(self._graph.nodes[node]["servers"])
+        return int(self._nodes[node]["servers"])
 
     def server_map(self) -> dict[NodeId, int]:
         """Mapping of switch id -> attached server count."""
-        return {v: int(self._graph.nodes[v]["servers"]) for v in self._graph}
+        return {node: int(attrs["servers"]) for node, attrs in self._nodes.items()}
 
     def cluster_of(self, node: NodeId) -> "str | None":
         """Cluster label of ``node`` (``None`` if unassigned)."""
-        if node not in self._graph:
+        if node not in self._nodes:
             raise TopologyError(f"switch {node!r} does not exist")
-        return self._graph.nodes[node].get("cluster")
+        return self._nodes[node]["cluster"]
 
     def switch_type_of(self, node: NodeId) -> "str | None":
         """Switch-type label of ``node`` (``None`` if unassigned)."""
-        if node not in self._graph:
+        if node not in self._nodes:
             raise TopologyError(f"switch {node!r} does not exist")
-        return self._graph.nodes[node].get("switch_type")
+        return self._nodes[node]["switch_type"]
 
     def nodes_in_cluster(self, cluster: str) -> list[NodeId]:
         """All switches assigned to the given cluster label."""
         return [
-            v
-            for v in self._graph
-            if self._graph.nodes[v].get("cluster") == cluster
+            node
+            for node, attrs in self._nodes.items()
+            if attrs["cluster"] == cluster
         ]
 
     def nodes_of_type(self, switch_type: str) -> list[NodeId]:
         """All switches with the given switch-type label."""
         return [
-            v
-            for v in self._graph
-            if self._graph.nodes[v].get("switch_type") == switch_type
+            node
+            for node, attrs in self._nodes.items()
+            if attrs["switch_type"] == switch_type
         ]
 
     def clusters(self) -> list[str]:
         """Sorted list of distinct non-``None`` cluster labels."""
-        labels = {
-            self._graph.nodes[v].get("cluster")
-            for v in self._graph
-        }
+        labels = {attrs["cluster"] for attrs in self._nodes.values()}
         return sorted(label for label in labels if label is not None)
 
     def arcs(self) -> list[tuple[NodeId, NodeId, float]]:
@@ -251,8 +267,8 @@ class Topology:
         :attr:`total_capacity`.
         """
         out: list[tuple[NodeId, NodeId, float]] = []
-        for u, v, data in self._graph.edges(data=True):
-            cap = float(data["capacity"])
+        for u, v, capacity in self.link_triples():
+            cap = float(capacity)
             out.append((u, v, cap))
             out.append((v, u, cap))
         return out
@@ -260,15 +276,14 @@ class Topology:
     def degree_histogram(self) -> dict[int, int]:
         """Mapping of degree -> number of switches with that degree."""
         hist: dict[int, int] = {}
-        for _, deg in self._graph.degree:
-            hist[deg] = hist.get(deg, 0) + 1
+        for nbrs in self._adj.values():
+            hist[len(nbrs)] = hist.get(len(nbrs), 0) + 1
         return dict(sorted(hist.items()))
 
     def is_connected(self) -> bool:
         """Whether the switch graph is connected (vacuously true if empty)."""
-        if self._graph.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(self._graph)
+        # Labels run from 0 to the number of components minus one.
+        return not self._nodes or int(self.component_labels().max()) == 0
 
     def cut_capacity(self, side_a: Iterable[NodeId], side_b: Iterable[NodeId]) -> float:
         """Total capacity of links crossing between two disjoint node sets.
@@ -281,44 +296,89 @@ class Topology:
         if overlap:
             raise TopologyError(f"node sets overlap: {sorted(map(repr, overlap))}")
         total = 0.0
-        for u, v, data in self._graph.edges(data=True):
+        for u, v, capacity in self.link_triples():
             if (u in set_a and v in set_b) or (u in set_b and v in set_a):
-                total += 2.0 * float(data["capacity"])
+                total += 2.0 * float(capacity)
         return total
 
     # ------------------------------------------------------------------
     # Conversion / copying
     # ------------------------------------------------------------------
-    def adjacency(self):
+    def adjacency(self) -> csr_array:
         """The capacity-weighted CSR adjacency over :attr:`switches` order.
 
         Entry ``(i, j)`` is the float capacity of the link between
         ``switches[i]`` and ``switches[j]``. Every array consumer of the
         switch graph reads this one matrix (hop distances, the spectral
-        measures, the route enumerators), so treat it as read-only. It
-        is built on first use and rebuilt after ``add_switch``,
-        ``add_link`` or ``remove_link``.
+        measures, the route enumerators, the connected components), so
+        treat it as read-only. It is built on first use and rebuilt
+        after ``add_switch``, ``add_link`` or ``remove_link``.
         """
         if self._adjacency is None or self._adjacency[0] != self._version:
-            matrix = nx.to_scipy_sparse_array(
-                self._graph, self.switches, weight="capacity", dtype=float, format="csr"
+            adj = self._adj
+            index = {node: i for i, node in enumerate(self._nodes)}
+            rows = [adj[node] for node in index]
+            indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+            np.cumsum([len(nbrs) for nbrs in rows], out=indptr[1:])
+            nnz = int(indptr[-1])
+            indices = np.fromiter(
+                (index[v] for nbrs in rows for v in nbrs), dtype=np.int64, count=nnz
             )
-            self._adjacency = (self._version, matrix)
+            data = np.fromiter(
+                (cap for nbrs in rows for cap in nbrs.values()), dtype=float, count=nnz
+            )
+            matrix = csr_array((data, indices, indptr), shape=(len(rows), len(rows)))
+            matrix.sort_indices()
+            self._adjacency = (self._version, matrix, None)
         return self._adjacency[1]
 
-    def to_networkx(self) -> nx.Graph:
-        """Return an independent :class:`networkx.Graph` copy."""
-        return self._graph.copy()
+    def component_labels(self) -> np.ndarray:
+        """Connected-component id of each switch, over :attr:`switches`
+        order: two switches share a component when their ids are equal.
+        Memoized with :meth:`adjacency`."""
+        matrix = self.adjacency()
+        version, _, labels = self._adjacency
+        if labels is None:
+            _, labels = csgraph.connected_components(matrix, directed=False)
+            self._adjacency = (version, matrix, labels)
+        return labels
 
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying graph (treat as read-only; use mutation methods)."""
-        return self._graph
+    def to_networkx(self):
+        """Return an independent :class:`networkx.Graph` copy.
+
+        Its switch and neighbor orders are :meth:`copy`'s. networkx is
+        imported here, and only here.
+        """
+        import networkx as nx
+
+        graph = nx.Graph()
+        graph.add_nodes_from(
+            (node, dict(attrs)) for node, attrs in self._nodes.items()
+        )
+        graph.add_edges_from(
+            (u, v, {"capacity": capacity})
+            for u, nbrs in self._adj.items()
+            for v, capacity in nbrs.items()
+        )
+        return graph
 
     def copy(self, name: "str | None" = None) -> "Topology":
-        """Deep-copy this topology, optionally renaming it."""
+        """Deep-copy this topology, optionally renaming it.
+
+        Like networkx's ``Graph.copy``, the copy re-adds every link from
+        both endpoints in switch-major order, so a switch's neighbors
+        that come before it in :attr:`switches` order move to the front
+        of its neighbor list, in switch order. A copy's arc order, and
+        with it every LP column and anneal pick made on it, follows from
+        this (``tests/golden/instance_fingerprints.json`` pins it).
+        """
         clone = Topology(name if name is not None else self.name)
-        clone._graph = self._graph.copy()
+        clone._nodes = {node: dict(attrs) for node, attrs in self._nodes.items()}
+        adj = clone._adj = {node: {} for node in self._nodes}
+        for u, nbrs in self._adj.items():
+            for v, capacity in nbrs.items():
+                adj[u][v] = capacity
+                adj[v][u] = capacity
         return clone
 
     @classmethod
@@ -367,25 +427,24 @@ class Topology:
         Checks: no self-loops, all capacities positive, all server counts
         non-negative integers.
         """
-        for u, v, data in self._graph.edges(data=True):
+        for u, v, cap in self.link_triples():
             if u == v:
                 raise TopologyError(f"self-loop at {u!r}")
-            cap = data.get("capacity")
-            if cap is None or not cap > 0:
+            if not cap > 0:
                 raise TopologyError(f"link ({u!r}, {v!r}) has capacity {cap!r}")
-        for v in self._graph:
-            servers = self._graph.nodes[v].get("servers")
+        for node, attrs in self._nodes.items():
+            servers = attrs["servers"]
             if not isinstance(servers, int) or servers < 0:
-                raise TopologyError(f"switch {v!r} has server count {servers!r}")
+                raise TopologyError(f"switch {node!r} has server count {servers!r}")
 
     def __iter__(self) -> Iterator[NodeId]:
-        return iter(self._graph)
+        return iter(self._nodes)
 
     def __contains__(self, node: NodeId) -> bool:
-        return node in self._graph
+        return node in self._nodes
 
     def __len__(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._nodes)
 
     def __repr__(self) -> str:
         return (

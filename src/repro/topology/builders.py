@@ -18,6 +18,7 @@ sampler over all graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,58 +32,40 @@ _STALL_LIMIT = 64
 
 
 class _AliveIndex:
-    """Fenwick-indexed view of the free-node dict for O(log n) sampling.
+    """Positional view of the free-node dict for cheap sampling.
 
     The fill loop draws ``nodes[rng.integers(len(nodes))]`` where ``nodes``
     is ``list(free)`` — the initial node order minus exhausted nodes.
     Materializing that list per placed edge is the O(N) factor that made
-    N = 100,000 builds take minutes. This index answers ``select(i)`` ("the
-    i-th node of ``list(free)``") in O(log n) instead, and because it
-    preserves that exact ordering the RNG draws — and therefore the sampled
-    graph — are byte-identical to the list-based fill (the builder goldens
-    pin this).
+    N = 100,000 builds take minutes. This index keeps the alive nodes'
+    initial positions in a sorted list instead: ``select(k)`` ("the k-th
+    node of ``list(free)``") is one lookup, and ``remove`` a bisection
+    plus a ``del``. It preserves that exact ordering, so the RNG draws —
+    and therefore the sampled graph — are byte-identical to the
+    list-based fill (the builder goldens pin this).
     """
 
-    __slots__ = ("_order", "_pos", "_tree", "_size", "count")
+    __slots__ = ("_order", "_pos", "_alive")
 
     def __init__(self, nodes) -> None:
         self._order = list(nodes)
         self._pos = {node: i for i, node in enumerate(self._order)}
-        self._size = len(self._order)
-        self.count = self._size
-        tree = [0] * (self._size + 1)
-        for i in range(1, self._size + 1):
-            tree[i] += 1
-            parent = i + (i & -i)
-            if parent <= self._size:
-                tree[parent] += tree[i]
-        self._tree = tree
+        self._alive = list(range(len(self._order)))
+
+    @property
+    def count(self) -> int:
+        return len(self._alive)
 
     def remove(self, node) -> None:
-        i = self._pos[node] + 1
-        tree = self._tree
-        while i <= self._size:
-            tree[i] -= 1
-            i += i & -i
-        self.count -= 1
+        del self._alive[bisect_left(self._alive, self._pos[node])]
 
     def select(self, k: int):
         """The node at position ``k`` of ``list(free)`` (0-based)."""
-        remaining = k + 1
-        idx = 0
-        bit = 1 << (self._size.bit_length() - 1) if self._size else 0
-        tree = self._tree
-        while bit:
-            probe = idx + bit
-            if probe <= self._size and tree[probe] < remaining:
-                idx = probe
-                remaining -= tree[probe]
-            bit >>= 1
-        return self._order[idx]
+        return self._order[self._alive[k]]
 
 
 class _FreeDict(dict):
-    """Free-port budgets with a live Fenwick index over the key order.
+    """Free-port budgets with a live positional index over the key order.
 
     Keys are only ever *removed* after construction (a budget reaching 0
     deletes its entry), so the index never needs insertion support.
@@ -125,46 +108,46 @@ class _EdgeSet:
     """Mutable simple-graph edge set with O(1) adjacency queries."""
 
     def __init__(self) -> None:
-        self.edges: set[frozenset] = set()
         self.adjacency: dict[object, set] = {}
+        self.size = 0
 
     def has(self, u, v) -> bool:
-        return frozenset((u, v)) in self.edges
+        return v in self.adjacency.get(u, ())
 
     def add(self, u, v) -> None:
         if u == v:
             raise GraphConstructionError(f"attempted self-loop at {u!r}")
-        key = frozenset((u, v))
-        if key in self.edges:
+        if self.has(u, v):
             raise GraphConstructionError(f"attempted parallel edge {u!r}-{v!r}")
-        self.edges.add(key)
         self.adjacency.setdefault(u, set()).add(v)
         self.adjacency.setdefault(v, set()).add(u)
+        self.size += 1
 
     def remove(self, u, v) -> None:
-        key = frozenset((u, v))
-        if key not in self.edges:
+        if not self.has(u, v):
             raise GraphConstructionError(f"no edge {u!r}-{v!r} to remove")
-        self.edges.remove(key)
-        self.adjacency[u].discard(v)
-        self.adjacency[v].discard(u)
+        self.adjacency[u].remove(v)
+        self.adjacency[v].remove(u)
+        self.size -= 1
 
     def neighbors(self, u) -> set:
         return self.adjacency.get(u, set())
 
     def as_pairs(self) -> list[tuple]:
-        # Sorted output: set iteration order depends on PYTHONHASHSEED, and
-        # a seeded construction must yield the same graph in every process
+        # Each edge once, endpoints in repr order, and the list sorted:
+        # set iteration order depends on PYTHONHASHSEED, and a seeded
+        # construction must yield the same graph in every process
         # (content-addressed caches key on it).
+        reprs = {node: repr(node) for node in self.adjacency}
         return sorted(
-            (tuple(sorted(edge, key=repr)) for edge in self.edges), key=repr
+            (
+                (u, v)
+                for u, nbrs in self.adjacency.items()
+                for v in nbrs
+                if reprs[u] < reprs[v]
+            ),
+            key=repr,
         )
-
-
-def _random_edge(edge_set: _EdgeSet, rng: np.random.Generator) -> tuple:
-    pairs = edge_set.as_pairs()
-    u, v = pairs[int(rng.integers(len(pairs)))]
-    return u, v
 
 
 def random_graph_from_degrees(
@@ -317,7 +300,7 @@ def _rewire_for_progress(
     adjacent. Find an edge ``(a, b)`` disjoint from them with ``(u, a)`` and
     ``(v, b)`` absent; replace it with those two edges.
     """
-    if not edge_set.edges:
+    if not edge_set.size:
         return False
 
     def spend(node, amount: int) -> None:
@@ -496,7 +479,7 @@ def _bipartite_rewire(
     that ``(u, y)`` and ``(x, v)`` are both available; replace it with those
     two edges, consuming one stub on each side.
     """
-    if not free_a or not free_b or not edge_set.edges:
+    if not free_a or not free_b or not edge_set.size:
         return False
     u = next(iter(free_a))
     v = next(iter(free_b))

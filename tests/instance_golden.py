@@ -10,6 +10,12 @@ strings) and per failure model, and records each case's fingerprints.
 moves, and when a case builds differently under another
 ``PYTHONHASHSEED``.
 
+Content fingerprints sort links, so they cannot see the order in which
+a topology lists them, which every LP column, cut sum and anneal pick
+follows. Each case therefore also records an ``order_fp``: a digest of
+``arcs()`` and of each switch's ``neighbors()``, on the built topology
+and on its ``copy()``.
+
 Usage, from the repository root::
 
     PYTHONPATH=src python tests/instance_golden.py            # print JSON
@@ -29,7 +35,9 @@ from repro.pipeline.fingerprint import topology_fingerprint, traffic_fingerprint
 from repro.pipeline.scenario import Scenario, TopologySpec, TrafficSpec
 from repro.resilience import FAILURE_MODELS, FailureSpec
 from repro.topology.registry import available_topologies
+from repro.topology.serialization import encode_node
 from repro.traffic.registry import available_traffic_models
+from repro.util.hashing import stable_digest
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "instance_fingerprints.json"
 
@@ -170,6 +178,23 @@ def cases() -> "list[tuple[str, str, Scenario]]":
     return out
 
 
+def order_fingerprint(topo) -> str:
+    """Digest of the orders a content fingerprint cannot see: the
+    ``arcs()`` list and each switch's ``neighbors()``, on ``topo`` and
+    on ``topo.copy()``."""
+
+    def orders(t) -> dict:
+        return {
+            "arcs": [[encode_node(u), encode_node(v), cap] for u, v, cap in t.arcs()],
+            "neighbors": [
+                [encode_node(node), [encode_node(n) for n in t.neighbors(node)]]
+                for node in t.switches
+            ],
+        }
+
+    return stable_digest([orders(topo), orders(topo.copy())])
+
+
 def compute() -> dict:
     """Build every case the way a grid cell builds, and fingerprint it.
 
@@ -185,6 +210,7 @@ def compute() -> dict:
                 "subject": subject,
                 "topology_fp": topology_fingerprint(topo),
                 "traffic_fp": traffic_fingerprint(traffic),
+                "order_fp": order_fingerprint(topo),
             }
         )
     return {

@@ -17,11 +17,11 @@ import sys
 import textwrap
 from unittest import mock
 
-import networkx
 import numpy as np
 import pytest
 
 import repro.metrics.spectral as spectral_mod
+import repro.topology.base as topology_base
 from repro.exceptions import FlowError
 from repro.estimate.batch import (
     LADDER_SOLVERS,
@@ -78,12 +78,12 @@ class TestSharedArtifacts:
 
     def test_ladder_converts_the_topology_once(self, instance):
         """``bound``'s pair kernel and the Fiedler solve read one
-        :meth:`Topology.adjacency`: one networkx conversion per instance."""
+        :meth:`Topology.adjacency`: one CSR build per instance."""
         topo, traffic = instance
         fresh = topo.copy()
-        convert = networkx.to_scipy_sparse_array
+        build = topology_base.csr_array
         with mock.patch.object(
-            networkx, "to_scipy_sparse_array", side_effect=convert
+            topology_base, "csr_array", side_effect=build
         ) as spy:
             store = SharedArtifacts()
             run_ladder(fresh, traffic, store=store)

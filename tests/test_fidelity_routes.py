@@ -29,7 +29,7 @@ def instance():
 
 
 def _distances(topo):
-    return dict(nx.all_pairs_shortest_path_length(topo.graph))
+    return dict(nx.all_pairs_shortest_path_length(topo.to_networkx()))
 
 
 def _is_simple(path) -> bool:
@@ -37,7 +37,8 @@ def _is_simple(path) -> bool:
 
 
 def _is_valid(topo, path) -> bool:
-    return all(topo.graph.has_edge(a, b) for a, b in zip(path[:-1], path[1:]))
+    graph = topo.to_networkx()
+    return all(graph.has_edge(a, b) for a, b in zip(path[:-1], path[1:]))
 
 
 class TestEcmpDag:

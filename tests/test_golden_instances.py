@@ -6,7 +6,9 @@ specs without rebuilding it, keyed by a digest of the package source.
 topology kind, traffic model (on an integer-id RRG and on a VL2, whose
 switch ids are strings) and failure model (cases defined in
 ``instance_golden.py``), so a change that moves what a kind builds fails
-here, naming the kind, until it is re-recorded on purpose. The cases are
+here, naming the kind, until it is re-recorded on purpose. Each case's
+``order_fp`` pins the order of its arcs and neighbor lists, which the
+content fingerprints cannot see. The cases are
 also computed in fresh processes under two ``PYTHONHASHSEED`` values,
 which must both reproduce the golden: the source digest does not change
 with the hash seed, so an index written under one hash seed is read by
@@ -38,7 +40,7 @@ def drift(computed: dict) -> "list[str]":
         if old is None:
             problems.append(f"{case['subject']}: no golden case; re-record ({RERECORD})")
             continue
-        for field in ("topology_fp", "traffic_fp"):
+        for field in ("topology_fp", "traffic_fp", "order_fp"):
             if case[field] != old[field]:
                 problems.append(
                     f"{case['subject']}: {field} moved; if the change to what "

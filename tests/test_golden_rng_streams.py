@@ -1,7 +1,8 @@
 """Bit-exact goldens for the builder RNG stream and edge-LP solutions.
 
-The vectorized builder fill (``_AliveIndex`` Fenwick sampling) and the
-COO-assembled edge LP were required to be **byte-identical** refactors:
+The builder fill's positional sampling (``_AliveIndex``, a sorted list
+of alive positions) and the COO-assembled edge LP were required to be
+**byte-identical** refactors:
 same RNG draws, same edge lists, same optimizer input, same floats out.
 These goldens were captured from the pre-refactor code; any future
 change that shifts the builder's RNG stream or the LP's assembled

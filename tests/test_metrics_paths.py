@@ -143,7 +143,7 @@ def _graph_and_pairs(draw):
 
 def _csgraph_adjacency(topo):
     return nx.to_scipy_sparse_array(
-        topo.graph, nodelist=topo.switches, weight=None, format="csr"
+        topo.to_networkx(), nodelist=topo.switches, weight=None, format="csr"
     )
 
 

@@ -37,6 +37,7 @@ class TestRouteSetProperties:
     @settings(max_examples=15, deadline=None)
     def test_paths_simple_valid_and_bounded(self, params):
         topo, pairs, k = _build(params)
+        graph = topo.to_networkx()
         for mode, method in (
             ("ecmp", "dag"), ("ecmp", "enum"), ("ksp", "yen"), ("ksp", "tree")
         ):
@@ -49,7 +50,7 @@ class TestRouteSetProperties:
                     assert path[0] == u and path[-1] == v
                     assert len(set(path)) == len(path)
                     assert all(
-                        topo.graph.has_edge(a, b)
+                        graph.has_edge(a, b)
                         for a, b in zip(path[:-1], path[1:])
                     )
 
@@ -58,7 +59,7 @@ class TestRouteSetProperties:
     def test_ecmp_paths_are_shortest_with_unit_weights(self, params):
         topo, pairs, k = _build(params)
         routes = compute_route_set(topo, pairs, mode="ecmp", k=k)
-        lengths = dict(nx.all_pairs_shortest_path_length(topo.graph))
+        lengths = dict(nx.all_pairs_shortest_path_length(topo.to_networkx()))
         for (u, v), group, weights in zip(
             routes.pairs, routes.paths, routes.weights
         ):

@@ -191,8 +191,28 @@ class TestDegradedView:
         degraded = apply_failures(
             rrg, FailureSpec.make("random_links", rate=0.1), seed=9
         )
-        with pytest.raises(Exception):
-            degraded.add_switch("new")
+        u, v = degraded.links[0].endpoints()
+        before = (topology_fingerprint(rrg), rrg.servers_at(u), rrg.cluster_of(u))
+        for mutate in (
+            lambda: degraded.add_switch("new"),
+            lambda: degraded.add_link(u, v),
+            lambda: degraded.remove_link(u, v),
+            lambda: degraded.set_servers(u, 9),
+            lambda: degraded.set_cluster(u, "left"),
+        ):
+            with pytest.raises(TopologyError, match="read-only view"):
+                mutate()
+        after = (topology_fingerprint(rrg), rrg.servers_at(u), rrg.cluster_of(u))
+        assert after == before
+
+    def test_view_reads_base_labels_live(self, rrg):
+        view = degraded_view(rrg, failed_switches=(rrg.switches[-1],))
+        node = rrg.switches[0]
+        assert view.servers_at(node) == 3  # the view has filtered its base
+        rrg.set_servers(node, 9)
+        rrg.set_cluster(node, "left")
+        assert view.servers_at(node) == 9
+        assert view.nodes_in_cluster("left") == [node]
 
     def test_copy_is_mutable(self, rrg):
         degraded = apply_failures(

@@ -1,7 +1,8 @@
 """``Topology.adjacency()``: the one CSR every array consumer reads.
 
-Pins it, array for array, against the networkx conversion each consumer
-used to make on its own: on one instance of every registered topology
+Pins it, array for array, against networkx's conversion of
+:meth:`Topology.to_networkx`, which each consumer used to make on its
+own: on one instance of every registered topology
 kind (the kinds of ``tests/golden/instance_fingerprints.json``) and on a
 degraded view of every failure model. Also pins the memo: built once,
 dropped by each mutation method and, for a view, by a mutation of its
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from instance_golden import GOLDEN_PATH, cases
+from repro.exceptions import TopologyError
 from repro.metrics.spectral import _adjacency
 from repro.resilience import FAILURE_MODELS, FailureSpec
 from repro.resilience.inject import DegradedTopology, apply_failures, degraded_view
@@ -31,7 +33,11 @@ TOPOLOGY_CASES = [
 
 def _conversion(topo, weight):
     return nx.to_scipy_sparse_array(
-        topo.graph, nodelist=topo.switches, weight=weight, dtype=float, format="csr"
+        topo.to_networkx(),
+        nodelist=topo.switches,
+        weight=weight,
+        dtype=float,
+        format="csr",
     )
 
 
@@ -108,6 +114,15 @@ class TestMemo:
         triangle.set_cluster(0, "left")
         assert triangle.adjacency() is first
 
+    def test_component_labels_live_in_it(self, triangle):
+        labels = triangle.component_labels()
+        assert triangle.component_labels() is labels
+        assert triangle.is_connected()
+        triangle.remove_link(0, 1)
+        triangle.remove_link(0, 2)
+        assert triangle.component_labels().tolist() == [0, 1, 1]
+        assert not triangle.is_connected()
+
     def test_copy_builds_its_own(self, triangle):
         first = triangle.adjacency()
         clone = triangle.copy()
@@ -138,7 +153,7 @@ class TestMemo:
         u, v = rrg.links[0].endpoints()
         view = degraded_view(rrg)
         first = rrg.adjacency()
-        with pytest.raises(nx.NetworkXError, match="Frozen"):
+        with pytest.raises(TopologyError, match="read-only view"):
             view.add_link(u, v)
         assert rrg.capacity(u, v) == 1.0
         assert rrg.adjacency() is first

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import TopologyError
@@ -151,6 +157,52 @@ class TestCopyAndConversion:
         graph = triangle.to_networkx()
         graph.add_node("x")
         assert "x" not in triangle
+
+    def test_only_to_networkx_imports_networkx(self):
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+            import repro.experiments.runner
+            import repro.pipeline
+            from repro.flow.solvers import SolverConfig
+            from repro.pipeline import ScenarioGrid, TopologySpec, TrafficSpec
+            from repro.pipeline import run_grid
+            from repro.resilience import degraded_view
+            from repro.topology import make_topology
+
+            grid = ScenarioGrid(
+                topologies=(
+                    TopologySpec.make(
+                        "rrg", num_switches=8, network_degree=3, servers_per_switch=1
+                    ),
+                ),
+                traffics=(TrafficSpec.make("permutation"),),
+                solvers=(SolverConfig("estimate_bound"),),
+            )
+            assert len(run_grid(grid).cells) == 1
+            topo = make_topology("rrg", num_switches=8, network_degree=3, seed=1)
+            view = degraded_view(topo, failed_switches=(topo.switches[0],))
+            assert view.num_switches == 7 and view.adjacency().shape == (7, 7)
+            assert "networkx" not in sys.modules, "imported before to_networkx"
+            view.to_networkx()
+            assert "networkx" in sys.modules
+            """
+        )
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(root / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_from_edges_uniform_servers(self):
         topo = Topology.from_edges([(1, 2), (2, 3)], servers=2)
