@@ -124,14 +124,6 @@ def mean_and_std(values: Iterable[float]) -> tuple[float, float]:
     return statistics.fmean(data), statistics.pstdev(data)
 
 
-def sweep_average(
-    measure: Callable[[object], float],
-    seeds: Iterable,
-) -> tuple[float, float]:
-    """Run ``measure(seed)`` over seeds; return (mean, std)."""
-    return mean_and_std(measure(seed) for seed in seeds)
-
-
 def mean_throughput_over_seeds(
     build: Callable,
     runs: int,

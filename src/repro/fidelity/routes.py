@@ -532,16 +532,11 @@ def route_set_for(
 
         cache = active_cache()
     if cache is not None:
-        payload = cache.get_payload(key, ROUTE_SET_KIND)
-        if payload is not None:
-            try:
-                route_set = RouteSet.from_payload(payload)
-            except (FlowError, KeyError, TypeError, ValueError):
-                route_set = None
-            if route_set is not None:
-                _STATS["disk_hits"] += 1
-                _memoize(key, route_set)
-                return route_set
+        route_set = cache.get_payload(key, ROUTE_SET_KIND, RouteSet.from_payload)
+        if route_set is not None:
+            _STATS["disk_hits"] += 1
+            _memoize(key, route_set)
+            return route_set
     route_set = compute_route_set(
         topo, pairs, mode=mode, k=k, method=method, topo_fp=topo_fp, key=key
     )

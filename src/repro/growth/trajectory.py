@@ -484,8 +484,6 @@ def run_growth_sweep(
     """
     if seeds < 1:
         raise ExperimentError(f"seeds must be >= 1, got {seeds}")
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     options = strategy_options or {}
     bands = estimator_bands or {}
     tasks = []

@@ -1,18 +1,23 @@
-"""Content-addressed on-disk cache for throughput results.
+"""Content-addressed on-disk cache for throughput results and payloads.
 
 Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the SHA-256
 content address of (topology fingerprint, traffic fingerprint, solver
-config) from :mod:`repro.pipeline.fingerprint`. Each entry stores the full
-:class:`~repro.flow.result.ThroughputResult` (via its ``to_dict`` round
-trip) plus provenance metadata.
+config) from :mod:`repro.pipeline.fingerprint`. Each result entry stores
+the full :class:`~repro.flow.result.ThroughputResult` (via its
+``to_dict`` round trip) plus provenance metadata.
 
-Beyond throughput results, the cache stores arbitrary JSON *payloads*
-under kind-tagged entries (:meth:`ResultCache.put_payload`); the
-routing-fidelity subsystem shares precomputed route sets this way, so
-annealing/growth/grid cells never recompute routes for a topology any
-worker has already seen. Payload keys live in their own content-address
-space (the key derivation hashes the kind), so they never collide with
-result keys.
+Beyond throughput results, the cache stores JSON *payloads* under
+kind-tagged entries (:meth:`ResultCache.put_payload`): the instance
+index of :func:`repro.pipeline.engine.indexed_cells`, and the route sets
+that let every annealing/growth/grid worker reuse another's routes.
+Payload keys live in their own content-address space (the key
+derivation hashes the kind), so they never collide with result keys.
+
+Every kind goes through one reader and one writer. The reader checks
+the envelope, decodes the body with the caller's decoder and memoizes
+the parsed body; any bad entry (unreadable bytes, another schema or
+kind, a body the decoder rejects) is a counted miss and is deleted on
+the spot, so the caller recomputes and rewrites it.
 
 Writes go through a temp file + :func:`os.replace` so concurrent sweep
 workers never observe half-written entries; since keys are content
@@ -30,7 +35,9 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
+from typing import Callable
 
+from repro.exceptions import ReproError
 from repro.flow.result import ThroughputResult
 
 #: Bump when the entry payload schema changes; mismatched entries are
@@ -39,53 +46,38 @@ CACHE_SCHEMA_VERSION = 1
 
 #: Per-instance in-process memo size. Annealing and growth inner loops
 #: revisit a handful of hot keys thousands of times; keeping the parsed
-#: entry dicts in memory turns those re-hits from JSON file reads into
+#: entry bodies in memory turns those re-hits from JSON file reads into
 #: dict lookups (mirroring the route-set memo of
 #: :mod:`repro.fidelity.routes`).
 MEMO_MAX_DEFAULT = 256
 
+#: A bad entry to the reader: unreadable bytes (``OSError``; JSON and
+#: UTF-8 errors are ``ValueError``s) or a body the decoder rejects.
+_BAD_ENTRY = (OSError, AttributeError, KeyError, TypeError, ValueError, ReproError)
+
 
 class ResultCache:
-    """Filesystem-backed, content-addressed throughput-result store.
+    """Filesystem-backed, content-addressed store of results and payloads.
 
-    ``max_entries`` opts in to an LRU bound: every ``put`` beyond the cap
-    evicts the least-recently-used entries (recency is file mtime, which
-    hits refresh), so long sweep campaigns can keep a cache from growing
-    without limit. The default stays unbounded — existing callers see no
-    behavior change, and unbounded caches skip the per-hit ``utime`` and
-    the per-put directory scan entirely.
-
-    An in-process LRU memo of parsed entries (``memo_size`` keys, 0
-    disables) fronts the disk store: repeated hits on hot keys — the
-    annealing/growth inner-loop pattern — skip the file read *and* the
-    JSON parse. :meth:`stats` reports hits split into memo/disk.
+    An in-process LRU memo of parsed entry bodies
+    (:data:`MEMO_MAX_DEFAULT` keys) fronts the disk store: repeated hits
+    on hot keys — the annealing/growth inner-loop pattern — skip the file
+    read *and* the JSON parse. Every read still decodes the body afresh,
+    so a caller can mutate a decoded result without corrupting the memo.
+    :meth:`stats` reports hits split into memo/disk.
     """
 
-    def __init__(
-        self,
-        root: "str | os.PathLike",
-        max_entries: "int | None" = None,
-        memo_size: int = MEMO_MAX_DEFAULT,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1 or None, got {max_entries}"
-            )
-        if memo_size < 0:
-            raise ValueError(f"memo_size must be >= 0, got {memo_size}")
+    def __init__(self, root: "str | os.PathLike") -> None:
         self.root = Path(root)
-        self.max_entries = max_entries
-        self.memo_size = memo_size
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
         self.memo_hits = 0
         self.disk_hits = 0
-        #: key -> (kind or None, parsed entry dict). Keys are content
+        #: key -> (kind or None, parsed entry body). Keys are content
         #: addresses, so a memoized parse can never go stale short of a
-        #: delete; this store's own evictions drop the memo entry too,
-        #: and an *external* delete only costs a spurious hit in the
-        #: process that cached it, same as an in-flight read.
+        #: delete; this store's own deletes drop the memo entry too, and
+        #: an *external* delete only costs a spurious hit in the process
+        #: that cached it, same as an in-flight read.
         self._memo: "OrderedDict[str, tuple]" = OrderedDict()
         #: Guards every memo access: the service shares one cache
         #: instance across scheduler and asyncio threads, and an
@@ -101,178 +93,100 @@ class ResultCache:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "evictions": self.evictions,
             "memo_hits": self.memo_hits,
             "disk_hits": self.disk_hits,
             "memo_entries": len(self._memo),
         }
 
-    def _memo_get(self, key: str, kind: "str | None") -> "dict | None":
-        with self._memo_lock:
-            entry = self._memo.get(key)
-            if entry is None or entry[0] != kind:
-                return None
-            self._memo.move_to_end(key)
-            return entry[1]
-
-    def _memo_put(self, key: str, kind: "str | None", parsed: dict) -> None:
-        if self.memo_size == 0:
-            return
-        with self._memo_lock:
-            self._memo[key] = (kind, parsed)
-            self._memo.move_to_end(key)
-            while len(self._memo) > self.memo_size:
-                self._memo.popitem(last=False)
-
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
 
-    def _touch(self, key: str) -> None:
-        """Refresh disk recency on a memo hit, bounded caches only: LRU
-        eviction ranks by file mtime, and a memo hit must keep its entry
-        hot exactly like a disk hit does."""
-        if self.max_entries is None:
-            return
-        try:
-            os.utime(self._path(key))
-        except OSError:
-            pass
-
     def get(self, key: str) -> "ThroughputResult | None":
-        """Return the cached result for ``key``, or ``None`` on a miss.
-
-        Unreadable or schema-mismatched entries count as misses *and are
-        deleted on the spot*: a recompute is only guaranteed to overwrite
-        them if its ``put`` actually happens, and a worker crash between
-        the miss and the ``put`` would otherwise leave the stale file to
-        be re-parsed (and re-missed) on every future read.
-        """
-        memoized = self._memo_get(key, None)
-        if memoized is not None:
-            self.hits += 1
-            self.memo_hits += 1
-            self._touch(key)
-            # from_dict builds fresh containers, so callers can mutate
-            # their result without corrupting the memoized parse.
-            return ThroughputResult.from_dict(memoized)
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            # UnicodeDecodeError: non-UTF-8 garbage fails before the JSON
-            # parser even sees it.
-            self.misses += 1
-            self._evict(path)
-            return None
-        try:
-            if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
-                raise ValueError("cache schema mismatch")
-            result = ThroughputResult.from_dict(payload["result"])
-        except (AttributeError, KeyError, TypeError, ValueError):
-            self.misses += 1
-            self._evict(path)
-            return None
-        self.hits += 1
-        self.disk_hits += 1
-        self._memo_put(key, None, payload["result"])
-        if self.max_entries is not None:
-            # Refresh recency so hot entries survive LRU eviction.
-            try:
-                os.utime(path)
-            except OSError:
-                pass
-        return result
-
-    def _evict(self, path: Path) -> None:
-        """Best-effort removal of a stale entry (races with writers are
-        benign: content-addressed keys make any concurrent rewrite
-        equivalent). The memo entry goes with it — an evicted key must
-        read as a miss, exactly like the memo-less store."""
-        with self._memo_lock:
-            self._memo.pop(path.stem, None)
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        """Return the cached result for ``key``, or ``None`` on a miss."""
+        return self._read(key, None, ThroughputResult.from_dict)
 
     def put(self, key: str, result: ThroughputResult, meta: "dict | None" = None) -> None:
         """Store ``result`` under ``key`` atomically."""
-        payload = result.to_dict()
-        self._write_entry(
-            key,
-            {
-                "schema_version": CACHE_SCHEMA_VERSION,
-                "key": key,
-                "result": payload,
-                "meta": meta or {},
-            },
-        )
-        self._memo_put(key, None, payload)
+        self._write(key, None, result.to_dict(), meta)
 
-    def get_payload(self, key: str, kind: str) -> "dict | None":
-        """Return the raw JSON payload stored under ``key``, or ``None``.
+    def get_payload(self, key: str, kind: str, decode: Callable = dict):
+        """Return the payload stored under ``key`` as ``decode`` builds
+        it (a copy of the JSON dict by default), or ``None`` on a miss.
 
-        ``kind`` must match what :meth:`put_payload` recorded — a mismatch
-        (or an unreadable entry) counts as a miss and evicts, exactly like
-        :meth:`get` does for result entries. Memoized payload dicts are
-        returned as-is; callers treat them as immutable (they are parsed,
-        not mutated, throughout the repo).
+        ``kind`` must match what :meth:`put_payload` recorded; a
+        mismatch, like a payload ``decode`` rejects, is a bad entry.
         """
-        memoized = self._memo_get(key, kind)
-        if memoized is not None:
-            self.hits += 1
-            self.memo_hits += 1
-            self._touch(key)
-            return memoized
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except FileNotFoundError:
-            self.misses += 1
-            return None
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            self.misses += 1
-            self._evict(path)
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema_version") != CACHE_SCHEMA_VERSION
-            or entry.get("kind") != kind
-            or not isinstance(entry.get("payload"), dict)
-        ):
-            self.misses += 1
-            self._evict(path)
-            return None
-        self.hits += 1
-        self.disk_hits += 1
-        self._memo_put(key, kind, entry["payload"])
-        if self.max_entries is not None:
-            try:
-                os.utime(path)
-            except OSError:
-                pass
-        return entry["payload"]
+        return self._read(key, kind, decode)
 
     def put_payload(self, key: str, kind: str, payload: dict) -> None:
         """Store a JSON-safe ``payload`` under ``key``, tagged with ``kind``."""
-        self._write_entry(
-            key,
-            {
-                "schema_version": CACHE_SCHEMA_VERSION,
-                "key": key,
-                "kind": kind,
-                "payload": payload,
-            },
-        )
-        self._memo_put(key, kind, payload)
+        self._write(key, kind, payload)
 
-    def _write_entry(self, key: str, entry: dict) -> None:
-        """Atomically serialize one entry dict to the key's path."""
+    def _read(self, key: str, kind: "str | None", decode: Callable):
+        """The one reader: ``decode`` of the body of ``key``'s entry of
+        ``kind`` (``None``: a result entry), or ``None`` on a miss.
+
+        A missing file is a plain miss. Any other failure, from the memo
+        or from disk, is a miss that deletes the entry: a recompute's
+        write is then the only way back in, and a worker crash before
+        that write leaves no stale file to be re-parsed on every read.
+        """
+        with self._memo_lock:
+            memoized = self._memo.get(key)
+            if memoized is not None and memoized[0] == kind:
+                self._memo.move_to_end(key)
+                body = memoized[1]
+            else:
+                body = None
+        from_memo = body is not None
+        try:
+            if body is None:
+                body = self._load(key, kind)
+            value = decode(body)
+        except FileNotFoundError:
+            self.misses += 1
+            return None
+        except _BAD_ENTRY:
+            self.misses += 1
+            self._drop(key)
+            return None
+        self.hits += 1
+        if from_memo:
+            self.memo_hits += 1
+        else:
+            self.disk_hits += 1
+            self._memoize(key, kind, body)
+        return value
+
+    def _load(self, key: str, kind: "str | None") -> dict:
+        """The body of ``key``'s entry file, checked against its envelope:
+        the schema version, then a ``result`` body (``kind`` None) or a
+        matching ``kind`` with a ``payload`` body, which must be a dict."""
+        with open(self._path(key), "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        if not isinstance(entry, dict) or (
+            entry.get("schema_version") != CACHE_SCHEMA_VERSION
+        ):
+            raise ValueError("cache schema mismatch")
+        if kind is None:
+            body = entry.get("result")
+        elif entry.get("kind") == kind:
+            body = entry.get("payload")
+        else:
+            raise ValueError(f"cache entry is not of kind {kind!r}")
+        if not isinstance(body, dict):
+            raise ValueError("cache entry has no body")
+        return body
+
+    def _write(self, key: str, kind: "str | None", body: dict, meta=None) -> None:
+        """The one writer: atomically store ``body`` in its envelope —
+        ``result`` and ``meta`` for a result (``kind`` None), else
+        ``kind`` and ``payload`` — and memoize it."""
+        entry = {"schema_version": CACHE_SCHEMA_VERSION, "key": key}
+        if kind is None:
+            entry.update(result=body, meta=meta or {})
+        else:
+            entry.update(kind=kind, payload=body)
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -288,30 +202,25 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        if self.max_entries is not None:
-            self._enforce_limit()
+        self._memoize(key, kind, body)
 
-    def _enforce_limit(self) -> None:
-        """Drop least-recently-used entries beyond ``max_entries``.
+    def _memoize(self, key: str, kind: "str | None", body: dict) -> None:
+        with self._memo_lock:
+            self._memo[key] = (kind, body)
+            self._memo.move_to_end(key)
+            while len(self._memo) > MEMO_MAX_DEFAULT:
+                self._memo.popitem(last=False)
 
-        Recency is file mtime (ties broken by name for determinism);
-        concurrent-writer races are benign — the worst case re-evicts an
-        entry another worker just rewrote, which the content address
-        makes equivalent to never having cached it.
-        """
-        entries = []
-        for path in self.root.glob("*/*.json"):
-            try:
-                entries.append((path.stat().st_mtime, path.name, path))
-            except OSError:
-                continue
-        excess = len(entries) - self.max_entries
-        if excess <= 0:
-            return
-        entries.sort()
-        for _, _, path in entries[:excess]:
-            self._evict(path)
-            self.evictions += 1
+    def _drop(self, key: str) -> None:
+        """Best-effort removal of a bad entry, memo and file (races with
+        writers are benign: content-addressed keys make any concurrent
+        rewrite equivalent)."""
+        with self._memo_lock:
+            self._memo.pop(key, None)
+        try:
+            self._path(key).unlink()
+        except OSError:
+            pass
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).is_file()

@@ -150,22 +150,17 @@ class InstanceRecord:
         )
 
     @classmethod
-    def from_payload(cls, payload: "dict | None") -> "InstanceRecord | None":
-        """The record an index entry holds, or ``None`` for a missing,
-        malformed or incomplete payload (read as an index miss)."""
-        if payload is None:
-            return None
-        try:
-            record = cls(**payload)
-        except TypeError:
-            return None
+    def from_payload(cls, payload: dict) -> "InstanceRecord":
+        """The record an index entry holds; raises ``TypeError`` for a
+        malformed or incomplete payload (the cache reads it as a miss)."""
+        record = cls(**payload)
         if not (
             isinstance(record.topology_fp, str)
             and isinstance(record.traffic_fp, str)
             and type(record.num_switches) is int
             and type(record.num_servers) is int
         ):
-            return None
+            raise TypeError(f"malformed instance record {payload!r}")
         return record
 
 
@@ -481,8 +476,8 @@ def indexed_cells(
         failure = _failure_column(scenario)
         record = records.get(failure)
         if record is None:
-            record = InstanceRecord.from_payload(
-                cache.get_payload(keys[failure], INSTANCE_KIND)
+            record = cache.get_payload(
+                keys[failure], INSTANCE_KIND, InstanceRecord.from_payload
             )
             if record is None:
                 return None
@@ -797,8 +792,6 @@ def run_grid(
     """
     from repro.pipeline.jobs import GridJob
 
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     job = GridJob(grid, cache_dir=cache_dir, manifest_path=manifest)
     cells = _execute_job(job, workers=workers, progress=progress, retry=retry)
@@ -830,8 +823,6 @@ def resume_grid(
     """
     from repro.pipeline.jobs import GridJob
 
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     job = GridJob.resume(manifest_path)
     cells = _execute_job(job, workers=workers, progress=progress, retry=retry)

@@ -32,6 +32,7 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Iterator, Protocol, runtime_checkable
 
+from repro.exceptions import ExperimentError
 from repro.pipeline.cache import ResultCache
 
 
@@ -155,7 +156,7 @@ class ProcessExecutor:
 
     def __init__(self, workers: int = 2) -> None:
         if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+            raise ExperimentError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
         self._pool: "ProcessPoolExecutor | None" = None
         self._generation = 0
@@ -213,6 +214,7 @@ def executor_for_workers(workers: int) -> "SerialExecutor | ProcessExecutor":
 
     :func:`run_grid`, :func:`~repro.search.parallel.parallel_anneal` and
     :func:`~repro.growth.trajectory.run_growth_sweep` all pick theirs
-    here.
+    here, so the pool's check is the one place a count below 1 is
+    rejected (with :class:`~repro.exceptions.ExperimentError`).
     """
-    return SerialExecutor() if workers <= 1 else ProcessExecutor(workers)
+    return SerialExecutor() if workers == 1 else ProcessExecutor(workers)

@@ -491,8 +491,6 @@ def run_replay(
     """
     from repro.pipeline.engine import _execute_job
 
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     job = ReplayJob(plan, cache_dir=cache_dir, manifest_path=manifest)
     cells = _execute_job(job, workers=workers, progress=progress, retry=retry)
@@ -514,8 +512,6 @@ def resume_replay(
     """Re-attach to an interrupted replay and finish only what's missing."""
     from repro.pipeline.engine import _execute_job
 
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     job = ReplayJob.resume(manifest_path)
     cells = _execute_job(job, workers=workers, progress=progress, retry=retry)

@@ -8,7 +8,7 @@ networks under the ``"optimized"`` kind next to ``"rrg"`` and friends.
 
 from __future__ import annotations
 
-from repro.exceptions import ExperimentError
+from repro.pipeline.executors import executor_for_workers
 from repro.search.annealing import AnnealResult, anneal
 from repro.search.objectives import Objective
 from repro.search.parallel import parallel_anneal
@@ -35,9 +35,9 @@ def optimize_topology(
     deterministic winner. All extra keywords flow to
     :func:`~repro.search.annealing.anneal`.
     """
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     if num_runs == 1:
+        # One run anneals in-process; the worker count is still checked.
+        executor_for_workers(workers)
         return anneal(topo, objective, steps=steps, seed=seed, **kwargs)
     return parallel_anneal(
         topo,

@@ -102,8 +102,6 @@ def parallel_anneal(
     — is identical whatever ``workers`` is.
     """
     check_positive_int(num_runs, "num_runs")
-    if workers < 1:
-        raise ExperimentError(f"workers must be >= 1, got {workers}")
     if temperatures is not None and len(temperatures) != num_runs:
         raise ExperimentError(
             f"temperatures has {len(temperatures)} entries for {num_runs} runs"

@@ -43,7 +43,7 @@ from repro.util.hashing import stable_digest
 #: Kind tag folded into :func:`grid_digest` (memo job ids hash it).
 GRID_MEMO_KIND = "grid_memo"
 
-#: Default size of the in-process grid memo (distinct grids, not cells).
+#: Size of the in-process grid memo (distinct grids, not cells).
 GRID_MEMO_SIZE = 64
 
 
@@ -84,10 +84,7 @@ class EvalService:
         executor=None,
         retry=None,
         max_in_flight: "int | None" = None,
-        memo_size: int = GRID_MEMO_SIZE,
     ) -> None:
-        if workers < 1:
-            raise ExperimentError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.cache_dir = str(cache_dir) if cache_dir else None
         self.cache = ResultCache(self.cache_dir) if self.cache_dir else None
@@ -99,7 +96,6 @@ class EvalService:
             self.executor, retry=retry, max_in_flight=max_in_flight
         )
         self.started_at = time.time()
-        self.memo_size = memo_size
         self._memo: "OrderedDict[str, list]" = OrderedDict()
         self._lock = threading.Lock()
         self._jobs: "dict[str, JobHandle]" = {}
@@ -149,7 +145,7 @@ class EvalService:
         with self._lock:
             self._memo[digest] = list(cells)
             self._memo.move_to_end(digest)
-            while len(self._memo) > self.memo_size:
+            while len(self._memo) > GRID_MEMO_SIZE:
                 self._memo.popitem(last=False)
 
     # -- job submission ------------------------------------------------

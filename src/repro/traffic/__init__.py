@@ -37,7 +37,6 @@ from repro.traffic.registry import (
     available_traffic_models,
     make_traffic,
     register_traffic_model,
-    traffic_model_is_deterministic,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "available_traffic_models",
     "make_traffic",
     "register_traffic_model",
-    "traffic_model_is_deterministic",
 ]

@@ -10,7 +10,6 @@ from repro.experiments.common import (
     ExperimentSeries,
     SeriesPoint,
     mean_and_std,
-    sweep_average,
 )
 
 
@@ -93,7 +92,3 @@ class TestAggregation:
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError, match="no values"):
             mean_and_std([])
-
-    def test_sweep_average(self):
-        mean, std = sweep_average(lambda seed: float(seed) * 2, [1, 2, 3])
-        assert mean == pytest.approx(4.0)

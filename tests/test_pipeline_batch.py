@@ -20,6 +20,7 @@ import repro.pipeline.engine as engine
 import repro.pipeline.scenario as scenario_module
 import repro.resilience as resilience
 from repro.exceptions import ExperimentError
+from repro.fidelity.routes import ROUTE_SET_KIND
 from repro.flow.solvers import SolverConfig
 from repro.pipeline.cache import ResultCache
 from repro.pipeline.engine import (
@@ -211,7 +212,9 @@ class TestInstanceIndex:
             _strip_timing(c) for c in reference
         ]
 
-    @pytest.mark.parametrize("damage", ["garbage", "incomplete", "pruned"])
+    @pytest.mark.parametrize(
+        "damage", ["garbage", "incomplete", "other_kind", "pruned"]
+    )
     def test_bad_entry_rebuilds_only_its_item(self, tmp_path, monkeypatch, damage):
         grid = estimator_grid()
         cold = run_grid(grid, cache_dir=tmp_path).cells
@@ -224,6 +227,10 @@ class TestInstanceIndex:
         elif damage == "incomplete":
             entry = json.loads(index_path.read_text())
             del entry["payload"]["num_servers"]
+            index_path.write_text(json.dumps(entry))
+        elif damage == "other_kind":
+            entry = json.loads(index_path.read_text())
+            entry["kind"] = ROUTE_SET_KIND
             index_path.write_text(json.dumps(entry))
         else:
             cache._path(first.key).unlink()

@@ -6,15 +6,32 @@ import json
 
 import pytest
 
+import repro.pipeline.cache as cache_module
+import repro.pipeline.engine as engine
+from repro.fidelity.routes import (
+    ROUTE_SET_KIND,
+    RouteSet,
+    reset_route_stats,
+    route_set_for,
+)
 from repro.flow.edge_lp import max_concurrent_flow
+from repro.flow.result import ThroughputResult
 from repro.flow.solvers import SolverConfig, available_solvers, get_solver
 from repro.pipeline.cache import CACHE_ENV_VAR, ResultCache, default_cache
+from repro.pipeline.engine import (
+    INSTANCE_KIND,
+    InstanceRecord,
+    cached_solve,
+    evaluate_batch,
+    group_cells,
+)
 from repro.pipeline.fingerprint import (
     result_key,
     solver_fingerprint,
     topology_fingerprint,
     traffic_fingerprint,
 )
+from repro.pipeline.scenario import ScenarioGrid, TopologySpec, TrafficSpec
 from repro.topology.random_regular import random_regular_topology
 from repro.traffic.permutation import random_permutation_traffic
 from repro.traffic.stride import stride_traffic
@@ -241,91 +258,9 @@ class TestStaleEntryEviction:
         assert not path.exists()
 
 
-class TestLruCap:
-    """Opt-in ``max_entries`` bound: puts beyond the cap evict the
-    least-recently-used entries; the default stays unbounded."""
-
-    @staticmethod
-    def _key(index: int) -> str:
-        return f"{index:02x}" * 32
-
-    @staticmethod
-    def _age(cache, key, seconds):
-        """Backdate an entry's mtime so recency ordering is deterministic
-        (sub-second writes can otherwise tie)."""
-        import os
-        import time
-
-        path = cache._path(key)
-        stamp = time.time() - seconds
-        os.utime(path, (stamp, stamp))
-
-    def _fill(self, cache, count):
-        from repro.flow.result import ThroughputResult
-
-        for index in range(count):
-            cache.put(self._key(index), ThroughputResult(throughput=index))
-            self._age(cache, self._key(index), seconds=100 - index)
-
-    def test_default_stays_unbounded(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.max_entries is None
-        self._fill(cache, 5)
-        assert len(cache) == 5
-        assert cache.evictions == 0
-
-    def test_put_evicts_oldest_beyond_cap(self, tmp_path):
-        from repro.flow.result import ThroughputResult
-
-        cache = ResultCache(tmp_path, max_entries=2)
-        self._fill(cache, 2)
-        cache.put(self._key(2), ThroughputResult(throughput=2.0))
-        assert len(cache) == 2
-        assert cache.evictions == 1
-        assert cache.get(self._key(0)) is None  # the oldest went
-        assert cache.get(self._key(1)) is not None
-        assert cache.get(self._key(2)) is not None
-
-    def test_get_refreshes_recency(self, tmp_path):
-        from repro.flow.result import ThroughputResult
-
-        cache = ResultCache(tmp_path, max_entries=2)
-        self._fill(cache, 2)
-        assert cache.get(self._key(0)) is not None  # touch the oldest
-        cache.put(self._key(2), ThroughputResult(throughput=2.0))
-        # Entry 1 is now the least recently used, not entry 0.
-        assert cache.get(self._key(0)) is not None
-        assert cache.get(self._key(1)) is None
-
-    def test_overfull_pre_existing_dir_trimmed(self, tmp_path):
-        from repro.flow.result import ThroughputResult
-
-        unbounded = ResultCache(tmp_path)
-        self._fill(unbounded, 4)
-        bounded = ResultCache(tmp_path, max_entries=2)
-        bounded.put(self._key(4), ThroughputResult(throughput=4.0))
-        assert len(bounded) == 2
-        assert bounded.evictions == 3
-        assert bounded.get(self._key(4)) is not None
-
-    def test_bounded_cache_still_round_trips(self, tmp_path, instance):
-        topo, traffic = instance
-        cache = ResultCache(tmp_path, max_entries=8)
-        result = max_concurrent_flow(topo, traffic)
-        key = self._key(7)
-        cache.put(key, result)
-        restored = cache.get(key)
-        assert restored is not None
-        assert restored.throughput == result.throughput
-
-    def test_rejects_non_positive_cap(self, tmp_path):
-        with pytest.raises(ValueError, match="max_entries"):
-            ResultCache(tmp_path, max_entries=0)
-
-
 class TestInProcessMemo:
     """The LRU memo fronting the disk store: hit accounting, mutation
-    safety, and the ``memo_size`` knob."""
+    safety, and its bound."""
 
     @staticmethod
     def _key(index: int) -> str:
@@ -365,20 +300,10 @@ class TestInProcessMemo:
         second = cache.get(self._key(0))
         assert second.arc_flows  # fresh containers per get
 
-    def test_memo_size_zero_disables_memo(self, tmp_path, instance):
+    def test_memo_evicts_least_recently_used(self, tmp_path, instance, monkeypatch):
         topo, traffic = instance
-        cache = ResultCache(tmp_path, memo_size=0)
-        cache.put(self._key(0), max_concurrent_flow(topo, traffic))
-        cache.get(self._key(0))
-        cache.get(self._key(0))
-        stats = cache.stats()
-        assert stats["memo_hits"] == 0
-        assert stats["disk_hits"] == 2
-        assert stats["memo_entries"] == 0
-
-    def test_memo_evicts_least_recently_used(self, tmp_path, instance):
-        topo, traffic = instance
-        cache = ResultCache(tmp_path, memo_size=2)
+        monkeypatch.setattr(cache_module, "MEMO_MAX_DEFAULT", 2)
+        cache = ResultCache(tmp_path)
         result = max_concurrent_flow(topo, traffic)
         for index in range(3):
             cache.put(self._key(index), result)
@@ -394,6 +319,115 @@ class TestInProcessMemo:
         # A kind mismatch must not serve the memoized payload.
         assert cache.get_payload(self._key(0), kind="other") is None
 
-    def test_negative_memo_size_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="memo_size"):
-            ResultCache(tmp_path, memo_size=-1)
+
+def _result_entry(cache):
+    """Solve one instance through ``cached_solve``: (key, result dict)."""
+    topo = random_regular_topology(10, 4, servers_per_switch=2, seed=3)
+    traffic = random_permutation_traffic(topo, seed=4)
+    config = SolverConfig.make("edge_lp")
+    key = result_key(
+        topology_fingerprint(topo),
+        traffic_fingerprint(traffic),
+        solver_fingerprint(config),
+    )
+    return key, cached_solve(topo, traffic, config, cache, key=key)[0].to_dict()
+
+
+def _instance_entry(cache):
+    """Run one work item through ``evaluate_batch``: (index key, record)."""
+    grid = ScenarioGrid(
+        name="bad-entry",
+        topologies=(
+            TopologySpec.make("rrg", network_degree=4, servers_per_switch=2),
+        ),
+        traffics=(TrafficSpec.make("permutation"),),
+        solvers=(SolverConfig("estimate_bound"),),
+        sizes=(10,),
+    )
+    item = [scenario for _, scenario in group_cells(grid.cells())[0]]
+    key = engine._index_keys(item)[None]
+    evaluate_batch(item, cache)
+    return key, cache.get_payload(key, INSTANCE_KIND, InstanceRecord.from_payload)
+
+
+def _route_entry(cache):
+    """Route three pairs through ``route_set_for``: (key, route set)."""
+    topo = random_regular_topology(10, 4, servers_per_switch=2, seed=3)
+    reset_route_stats()  # past the in-process route memo, to the cache
+    routes = route_set_for(
+        topo, [(0, 5), (1, 7), (2, 9)], mode="ksp", k=3, method="yen",
+        cache=cache,
+    )
+    return routes.key, routes
+
+
+class TestBadEntryPolicy:
+    """One policy for every entry kind: a garbage file, an entry of
+    another kind, and a valid envelope whose body the decoder rejects
+    each read as a counted miss, are deleted on read, and come back as
+    a recompute equal to the original, byte for byte."""
+
+    #: kind -> (its production get-or-compute path, the decoding read,
+    #: what another kind's entry is, how to spoil the body).
+    KINDS = {
+        "result": (
+            _result_entry,
+            ResultCache.get,
+            INSTANCE_KIND,
+            lambda entry: entry["result"].pop("throughput"),
+        ),
+        INSTANCE_KIND: (
+            _instance_entry,
+            lambda cache, key: cache.get_payload(
+                key, INSTANCE_KIND, InstanceRecord.from_payload
+            ),
+            ROUTE_SET_KIND,
+            lambda entry: entry["payload"].pop("num_servers"),
+        ),
+        ROUTE_SET_KIND: (
+            _route_entry,
+            lambda cache, key: cache.get_payload(
+                key, ROUTE_SET_KIND, RouteSet.from_payload
+            ),
+            None,
+            lambda entry: entry["payload"].update(schema_version=-1),
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", ["garbage", "other_kind", "rejected_body"])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_bad_entry_is_a_deleted_miss_then_recomputed(
+        self, tmp_path, kind, damage
+    ):
+        compute, read, other_kind, spoil = self.KINDS[kind]
+        key, original = compute(ResultCache(tmp_path))
+        path = ResultCache(tmp_path)._path(key)
+        good = path.read_bytes()
+        entry = json.loads(good)
+        if damage == "garbage":
+            path.write_bytes(b"\xff\x00 not json")
+        elif damage == "other_kind":
+            body = entry["result" if kind == "result" else "payload"]
+            if other_kind is None:
+                ResultCache(tmp_path).put(key, ThroughputResult(throughput=1.0))
+            else:
+                ResultCache(tmp_path).put_payload(key, other_kind, body)
+        else:
+            spoil(entry)
+            path.write_text(json.dumps(entry), encoding="utf-8")
+        reader = ResultCache(tmp_path)
+        assert read(reader, key) is None
+        assert (reader.hits, reader.misses) == (0, 1)
+        assert not path.exists()
+        assert compute(ResultCache(tmp_path)) == (key, original)
+        assert path.read_bytes() == good
+
+    def test_memoized_body_the_decoder_rejects_is_a_deleted_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "2" * 62
+        cache.put_payload(key, INSTANCE_KIND, {"topology_fp": "only"})
+        read = cache.get_payload(key, INSTANCE_KIND, InstanceRecord.from_payload)
+        assert read is None
+        assert cache.stats()["misses"] == 1
+        assert cache.stats()["memo_entries"] == 0
+        assert key not in cache

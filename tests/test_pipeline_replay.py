@@ -148,6 +148,15 @@ class TestJobModel:
         with pytest.raises(ExperimentError, match="window"):
             _plan(window=0)
 
+    def test_workers_validated(self, tmp_path):
+        plan = _plan(steps=3)
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            run_replay(plan, workers=0)
+        manifest = tmp_path / "run.json"
+        run_replay(plan, manifest=str(manifest))
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            resume_replay(str(manifest), workers=0)
+
     def test_mixed_plans_rejected(self):
         one, two = _plan(steps=3), _plan(steps=3, seed=14)
         with pytest.raises(ExperimentError, match="one replay plan"):

@@ -287,6 +287,14 @@ class TestCancellation:
 
 
 class TestResumeAfterCrash:
+    def test_resume_validates_workers(self, tmp_path):
+        manifest = tmp_path / "run.json"
+        run_grid(small_grid(), manifest=str(manifest))
+        before = manifest.read_bytes()
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            resume_grid(str(manifest), workers=0)
+        assert manifest.read_bytes() == before
+
     def test_resume_resolves_zero_cached_cells(self, tmp_path):
         grid = small_grid()
         manifest = tmp_path / "run.json"

@@ -58,6 +58,10 @@ class TestGridMemo:
             }
         )
 
+    def test_workers_validated(self):
+        with pytest.raises(ExperimentError, match="workers must be >= 1"):
+            EvalService(workers=0)
+
     def test_second_submit_answers_from_memo(self, tmp_path):
         grid = small_grid()
         with EvalService(workers=1, cache_dir=str(tmp_path)) as service:

@@ -21,7 +21,6 @@ from repro.traffic.registry import (
     available_traffic_models,
     make_traffic,
     register_traffic_model,
-    traffic_model_is_deterministic,
 )
 from repro.traffic.stride import stride_traffic
 
@@ -196,25 +195,25 @@ class TestRegistry:
             assert a.demands == b.demands, name
 
     def test_deterministic_flag_is_machine_checked(self, rrg):
-        """The registry's ``deterministic`` flags match actual behavior.
+        """Exactly the seedless models ignore their seed.
 
-        A model flagged deterministic must ignore its seed entirely (so
-        sweeps can collapse replicates); a model flagged seeded must
-        actually vary across seeds for at least some draw.
+        All-to-all, gravity and stride must build one matrix for any
+        seed; every other model must vary across seeds for at least
+        some draw.
         """
-        assert traffic_model_is_deterministic("all-to-all")
-        assert not traffic_model_is_deterministic("permutation")
+        seedless = {"all-to-all", "gravity", "stride"}
+        assert seedless <= set(available_traffic_models())
         for name in available_traffic_models():
             draws = [make_traffic(name, rrg, seed=seed) for seed in range(4)]
-            if traffic_model_is_deterministic(name):
+            if name in seedless:
                 for other in draws[1:]:
                     assert other.demands == draws[0].demands, (
-                        f"{name} is flagged deterministic but varies with seed"
+                        f"{name} is seedless but varies with seed"
                     )
             else:
                 assert any(
                     other.demands != draws[0].demands for other in draws[1:]
-                ), f"{name} is flagged seeded but never varies with seed"
+                ), f"{name} is seeded but never varies with seed"
 
     def test_params_forwarded(self, rrg):
         tm = make_traffic("stride", rrg, stride=3)
